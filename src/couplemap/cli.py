@@ -188,34 +188,9 @@ def cmd_baseline(args) -> list:
     if not 0.0 < args.level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {args.level}")
     summary = run_fgn_ensemble(cfg, level=args.level)
-    out_dir = _out_dir(args)
-    written = []
-    summary_path = os.path.join(out_dir, "baseline_summary.csv")
-    write_summary_csv(summary, summary_path)
-    written.append(summary_path)
-    for system in summary.system_names():
-        path = os.path.join(out_dir, f"{system}.json")
-        payload = {
-            "system": system,
-            "rows": [
-                {
-                    "measure_name": row.measure_name,
-                    "mean": row.mean,
-                    "half_width": row.half_width,
-                    "n": row.n,
-                    "flags": row.flags,
-                }
-                for row in summary.rows(system)
-            ],
-        }
-        try:
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2)
-                handle.write("\n")
-        except OSError as exc:
-            raise IoError(str(exc)) from exc
-        written.append(path)
-    return written
+    path = os.path.join(_out_dir(args), "baseline_summary.csv")
+    write_summary_csv(summary, path)
+    return [path]
 
 
 def cmd_surrogate(args) -> list:

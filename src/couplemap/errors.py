@@ -38,11 +38,6 @@ class WrongKind(CoupleMapError):
     """Series fed to a pipeline step that expects a different kind tag."""
 
 
-class EmbeddingFailure(CoupleMapError):
-    """Circulant embedding produced negative eigenvalues and the
-    sequential fallback failed too."""
-
-
 class LengthTooShort(CoupleMapError):
     """Series shorter than the operation's minimum length."""
 

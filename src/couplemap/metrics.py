@@ -20,7 +20,7 @@ from .errors import (
     InvalidPartition,
     NoEdges,
 )
-from .netmap import CouplingNetwork, JointProbability, joint_probability
+from .netmap import CouplingNetwork, joint_probability
 
 #: MeasureReport schema, in report order. The first twenty names are the
 #: radar measures; degree_concentration rides along as the 21st field.
@@ -87,18 +87,17 @@ class AssortStats:
     scalar_coef_var: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ModularityStats:
     q_total_degree: float
     q_out_degree: float
-    partition: np.ndarray
 
 
 def _binarized(net: CouplingNetwork) -> np.ndarray:
     return net.weights > 0
 
 
-def deformation_ratio(jp: JointProbability) -> float:
+def deformation_ratio(p: np.ndarray) -> float:
     """Normalized spread difference along the two diagonals.
 
     Each cell (i, j) is a point mass p[i, j] at coordinates (i, j). The mass
@@ -108,10 +107,10 @@ def deformation_ratio(jp: JointProbability) -> float:
     all mass sits on the main diagonal (>= 2 cells) and 0 for symmetric
     distributions.
     """
-    p = jp.p
+    p = np.asarray(p, dtype=np.float64)
     if not np.any(p > 0):
         raise EmptyDistribution("joint probability has no positive cell")
-    idx = np.arange(jp.bin_count, dtype=np.float64)
+    idx = np.arange(len(p), dtype=np.float64)
     ii = idx[:, None]
     jj = idx[None, :]
     u = (ii + jj) / math.sqrt(2.0)
@@ -376,7 +375,7 @@ def modularity_stats(net: CouplingNetwork, partition) -> ModularityStats:
     w_in = w.sum(axis=0)
     q_out = float((w[same].sum() - (np.outer(w_out, w_in) / m)[same].sum()) / m)
 
-    return ModularityStats(q_total, q_out, labels)
+    return ModularityStats(q_total, q_out)
 
 
 @dataclass(frozen=True)

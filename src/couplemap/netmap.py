@@ -20,24 +20,6 @@ DEFAULT_BIN_COUNT = 50
 
 
 @dataclass(frozen=True, eq=False)
-class BinGrid:
-    """Uniform bin edges for the two coupled series."""
-
-    bin_count: int
-    edges_x: np.ndarray
-    edges_y: np.ndarray
-
-    def __post_init__(self):
-        if self.bin_count < 2:
-            raise ValueError("bin_count must be >= 2")
-        for edges in (self.edges_x, self.edges_y):
-            if len(edges) != self.bin_count + 1:
-                raise ValueError("edge array must have bin_count + 1 entries")
-            if not np.all(np.diff(edges) > 0):
-                raise ValueError("edges must be strictly increasing")
-
-
-@dataclass(frozen=True, eq=False)
 class CouplingNetwork:
     """Weighted directed bin-co-occurrence network.
 
@@ -61,25 +43,6 @@ class CouplingNetwork:
         object.__setattr__(self, "weights", w)
 
 
-@dataclass(frozen=True, eq=False)
-class JointProbability:
-    """Coupling weights normalized to a joint distribution."""
-
-    bin_count: int
-    p: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=np.float64)
-        if p.shape != (self.bin_count, self.bin_count):
-            raise ValueError("p must be a bin_count x bin_count matrix")
-        if np.any(p < 0) or np.any(p > 1):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1")
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
-
-
 def bin_indices(values: np.ndarray, bin_count: int) -> np.ndarray:
     """Uniform-bin indices over the values' own [min, max] range.
 
@@ -94,20 +57,6 @@ def bin_indices(values: np.ndarray, bin_count: int) -> np.ndarray:
         return np.zeros(len(values), dtype=np.int64)
     idx = np.floor(bin_count * (values - lo) / (hi - lo)).astype(np.int64)
     return np.clip(idx, 0, bin_count - 1)
-
-
-def discretize(s: TimeSeries, bin_count: int) -> np.ndarray:
-    """Bin indices of a series' amplitudes."""
-    return bin_indices(s.values, bin_count)
-
-
-def bin_grid(x: TimeSeries, y: TimeSeries, bin_count: int) -> BinGrid:
-    """Edge arrays the mapper implicitly uses for a pair."""
-    return BinGrid(
-        bin_count,
-        np.linspace(x.values.min(), x.values.max(), bin_count + 1),
-        np.linspace(y.values.min(), y.values.max(), bin_count + 1),
-    )
 
 
 def _count_pairs(xi: np.ndarray, yi: np.ndarray, bin_count: int) -> np.ndarray:
@@ -139,16 +88,16 @@ def map_lagged(
         raise ValueError("lag must be >= 1")
     if lag >= len(s):
         raise LagTooLarge(f"lag {lag} >= series length {len(s)}")
-    idx = discretize(s, bin_count)
+    idx = bin_indices(s.values, bin_count)
     w = _count_pairs(idx[:-lag], idx[lag:], bin_count)
     return CouplingNetwork(bin_count, w, len(s) - lag)
 
 
-def joint_probability(net: CouplingNetwork) -> JointProbability:
-    """W / N."""
+def joint_probability(net: CouplingNetwork) -> np.ndarray:
+    """W / N, the B x B joint distribution of (x bin, y bin)."""
     if net.sample_count <= 0:
         raise EmptyNetwork("network has no samples")
-    return JointProbability(net.bin_count, net.weights / net.sample_count)
+    return net.weights / net.sample_count
 
 
 def write_adjacency_tsv(net: CouplingNetwork, path) -> None:
@@ -174,11 +123,11 @@ def write_edge_list_csv(net: CouplingNetwork, path) -> None:
         raise IoError(str(path)) from exc
 
 
-def write_joint_tsv(jp: JointProbability, path) -> None:
+def write_joint_tsv(p: np.ndarray, path) -> None:
     """Dense B x B probability matrix in the adjacency layout."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for row in jp.p:
+            for row in p:
                 fh.write("\t".join(repr(float(v)) for v in row) + "\n")
     except OSError as exc:
         raise IoError(str(path)) from exc

@@ -229,6 +229,9 @@ def standardize(s: TimeSeries) -> TimeSeries:
     if std == 0.0:
         raise ZeroVariance("constant series cannot be standardized")
     vals = (s.values - s.values.mean()) / std
+    # dividing by a small std can magnify the first centring's rounding
+    # error past the 1e-9 mean invariant, so centre once more
+    vals -= vals.mean()
     return TimeSeries(s.timestamps, vals, KIND_STANDARDIZED)
 
 

@@ -1,25 +1,24 @@
 """Fractional Gaussian noise, Fourier surrogates, Hurst estimation.
 
-fGn synthesis uses circulant embedding of the autocovariance (exact spectral
-method); a sequential conditional recursion takes over if an embedding
-eigenvalue is negative beyond tolerance. Surrogates randomize the phases of
-the Fourier transform while keeping every amplitude bin, so the linear
-structure survives and the distribution Gaussianizes.
+fGn synthesis uses the Davies-Harte circulant embedding of the
+autocovariance (exact spectral method), whose eigenvalues are non-negative
+for every Hurst exponent and length (Craigmile 2003), so every draw takes
+the same O(N log N) path. Surrogates randomize the phases of the Fourier
+transform while keeping every amplitude bin, so the linear structure
+survives and the distribution Gaussianizes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import EmbeddingFailure, LengthTooShort
+from .errors import LengthTooShort
 from .series import KIND_RAW, TimeSeries, index_series, standardize
 
 _MAX_SEED = 2**64
-_EIGENVALUE_TOL = -1e-8
 _HURST_BLOCK_SIZES = (8, 16, 32, 64, 128)
 _MIN_HURST_LENGTH = 2 * _HURST_BLOCK_SIZES[-1]
 
@@ -57,14 +56,18 @@ def fgn_autocovariance(hurst: float, max_lag: int) -> np.ndarray:
     return 0.5 * (np.abs(k + 1) ** h2 - 2.0 * np.abs(k) ** h2 + np.abs(k - 1) ** h2)
 
 
-def _circulant_fgn(acov: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Exact draw via circulant embedding of the 2n x 2n covariance."""
+def _embedding_eigenvalues(acov: np.ndarray) -> np.ndarray:
+    """Eigenvalues 0..n of the 2n-circulant with first row
+    [gamma(0)..gamma(n-1), gamma(n), gamma(n-1)..gamma(1)], from gamma(0..n).
+    """
+    return np.fft.rfft(np.concatenate([acov, acov[-2:0:-1]])).real
+
+
+def _circulant_fgn(acov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Exact draw of length n via circulant embedding, from gamma(0..n)."""
+    n = len(acov) - 1
     m = 2 * n
-    first_row = np.concatenate([acov, [0.0], acov[-1:0:-1]])
-    eig = np.fft.fft(first_row).real
-    if eig.min() < _EIGENVALUE_TOL:
-        raise EmbeddingFailure(f"negative circulant eigenvalue {eig.min():.3e}")
-    eig = np.clip(eig, 0.0, None)
+    eig = np.clip(_embedding_eigenvalues(acov), 0.0, None)
 
     # Hermitian complex-Gaussian spectrum: E|y_k|^2 = eig_k, y_{m-k} = conj(y_k).
     zr = rng.standard_normal(n + 1)
@@ -77,37 +80,10 @@ def _circulant_fgn(acov: np.ndarray, n: int, rng: np.random.Generator) -> np.nda
     return (np.fft.fft(y) / math.sqrt(m))[:n].real
 
 
-def _recursive_fgn(acov: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Durbin-Levinson conditional sampling, O(n^2) fallback."""
-    noise = rng.standard_normal(n)
-    x = np.empty(n)
-    phi = np.zeros(n + 1)
-    prev = np.zeros(n + 1)
-    v = acov[0]
-    x[0] = math.sqrt(v) * noise[0]
-    for t in range(1, n):
-        if t == 1:
-            kappa = acov[1] / acov[0]
-        else:
-            kappa = (acov[t] - prev[1:t] @ acov[t - 1 : 0 : -1]) / v
-        phi[t] = kappa
-        phi[1:t] = prev[1:t] - kappa * prev[t - 1 : 0 : -1]
-        v *= 1.0 - kappa * kappa
-        if v <= 0.0:
-            raise EmbeddingFailure(f"conditional variance hit {v:.3e} at step {t}")
-        x[t] = phi[1 : t + 1] @ x[t - 1 :: -1] + math.sqrt(v) * noise[t]
-        prev[: t + 1] = phi[: t + 1]
-    return x
-
-
 def generate_fgn(spec: FgnSpec) -> TimeSeries:
     """Draw one fGn realization; output is standardized, timestamps 0..N-1."""
-    acov = fgn_autocovariance(spec.hurst, spec.length - 1)
-    rng = np.random.default_rng(spec.seed)
-    try:
-        values = _circulant_fgn(acov, spec.length, rng)
-    except EmbeddingFailure:
-        values = _recursive_fgn(acov, spec.length, np.random.default_rng(spec.seed))
+    acov = fgn_autocovariance(spec.hurst, spec.length)
+    values = _circulant_fgn(acov, np.random.default_rng(spec.seed))
     return standardize(index_series(values, kind=KIND_RAW))
 
 
@@ -130,66 +106,6 @@ def surrogate(s: TimeSeries, seed: int) -> TimeSeries:
     coeffs[1:hi] = np.abs(coeffs[1:hi]) * np.exp(1j * eta)
     values = np.fft.irfft(coeffs, n=n)
     return TimeSeries(s.timestamps.copy(), values, kind=s.kind)
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Polar discrete Fourier transform, one bin per frequency 0..N-1."""
-
-    amplitudes: np.ndarray
-    phases: np.ndarray
-    length: int
-
-    def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=np.float64)
-        pha = np.asarray(self.phases, dtype=np.float64)
-        if amp.ndim != 1 or pha.ndim != 1:
-            raise ValueError("amplitudes and phases must be 1-D")
-        if len(amp) != self.length or len(pha) != self.length:
-            raise ValueError("amplitudes, phases and length must agree")
-        if not np.all(np.isfinite(amp)) or np.any(amp < 0):
-            raise ValueError("amplitudes must be finite and non-negative")
-        if np.any(pha <= -math.pi) or np.any(pha > math.pi):
-            raise ValueError("phases must lie in (-pi, pi]")
-        amp.flags.writeable = False
-        pha.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amp)
-        object.__setattr__(self, "phases", pha)
-
-    def coefficients(self) -> np.ndarray:
-        return self.amplitudes * np.exp(1j * self.phases)
-
-    @cached_property
-    def hermitian(self) -> bool:
-        """True when the spectrum is that of a real series.
-
-        Checks coefficient(k) == conj(coefficient(N-k)), which bundles the
-        amplitude mirror, the phase antisymmetry and the real DC/Nyquist
-        bins into one comparison.
-        """
-        c = self.coefficients()
-        mirrored = np.conj(np.roll(c[::-1], 1))
-        scale = max(float(self.amplitudes.max()), 1.0)
-        return bool(np.allclose(c, mirrored, rtol=0.0, atol=1e-9 * scale))
-
-
-def spectrum(s: TimeSeries) -> Spectrum:
-    """Forward transform with the 1/N prefactor and positive exponent.
-
-    X(k) = (1/N) sum_t x_t exp(+2 pi i k t / N); the matching inverse in
-    inverse_spectrum carries no prefactor.
-    """
-    n = len(s)
-    coeffs = np.conj(np.fft.fft(s.values)) / n
-    phases = np.angle(coeffs)
-    phases[phases <= -math.pi] += 2.0 * math.pi
-    return Spectrum(np.abs(coeffs), phases, n)
-
-
-def inverse_spectrum(sp: Spectrum) -> np.ndarray:
-    """x_t = sum_k X(k) exp(-2 pi i k t / N); real array when hermitian."""
-    values = np.fft.fft(sp.coefficients())
-    return values.real if sp.hermitian else values
 
 
 def estimate_hurst(s: TimeSeries) -> float:

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import write_series_csv
 from couplemap.cli import main
+from couplemap.ensemble import read_summary_csv
 from couplemap.metrics import MEASURE_FIELDS, MeasureReport
 
 
@@ -136,12 +137,13 @@ class TestBaseline:
             "--out", str(out),
         )
         assert code == 0, stderr
-        assert (out / "baseline_summary.csv").exists()
-        assert (out / "fgn_h0.3.json").exists()
-        assert (out / "fgn_h0.5.json").exists()
-        payload = json.loads((out / "fgn_h0.5.json").read_text())
-        assert payload["system"] == "fgn_h0.5"
-        assert {r["measure_name"] for r in payload["rows"]} == set(MEASURE_FIELDS)
+        summary_path = out / "baseline_summary.csv"
+        assert stdout.splitlines() == [str(summary_path)]
+        assert sorted(p.name for p in out.iterdir()) == ["baseline_summary.csv"]
+        summary = read_summary_csv(summary_path)
+        assert summary.system_names() == ("fgn_h0.3", "fgn_h0.5")
+        for system in summary.system_names():
+            assert {r.measure_name for r in summary.rows(system)} == set(MEASURE_FIELDS)
 
     def test_replicas_floor_maps_to_error_line(self, tmp_path, capsys):
         code, _, stderr = run_cli(
@@ -169,8 +171,8 @@ class TestBaseline:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert run_cli(capsys, *args, "--out", str(out_a))[0] == 0
         assert run_cli(capsys, *args, "--out", str(out_b))[0] == 0
-        for name in ("baseline_summary.csv", "fgn_h0.4.json"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        name = "baseline_summary.csv"
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 class TestSurrogateAndCompare:

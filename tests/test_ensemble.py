@@ -1,9 +1,11 @@
 """Ensemble aggregation, confidence intervals, seeds and radar reports."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from couplemap import (
     ComparisonReport,
@@ -21,18 +23,20 @@ from couplemap import (
     run_surrogate_pair,
     write_summary_csv,
 )
+from couplemap import ensemble
 from couplemap.ensemble import (
+    DEFAULT_LEVEL,
     DEFAULT_MASTER_SEED,
+    POOL_MIN_BINS,
     SUMMARY_COLUMNS,
     UNCOUPLED_SYSTEM,
     _aggregate,
     fgn_system_name,
-    worker_count,
 )
 from couplemap.metrics import MEASURE_FIELDS, MeasureReport, measure_all
-from couplemap.netmap import map_lagged
-from couplemap.series import TimeSeries, index_series
-from couplemap.synth import FgnSpec, generate_fgn
+from couplemap.netmap import map_lagged, map_pair
+from couplemap.series import AlignedPair, TimeSeries, index_series
+from couplemap.synth import FgnSpec, generate_fgn, surrogate
 
 SMALL = dict(
     hurst_values=(0.5,), replicas_per_h=4, series_length=128, bin_count=8
@@ -74,20 +78,44 @@ class TestDeriveSeed:
         assert len(seeds) == 16 * 64
 
 
+class RecordingPool(ThreadPoolExecutor):
+    """A thread pool that notes the worker count it was opened with."""
+
+    opened: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.opened.append(max_workers)
+        super().__init__(max_workers)
+
+
 class TestWorkerCount:
+    @pytest.fixture(autouse=True)
+    def _record_pools(self, monkeypatch):
+        RecordingPool.opened = []
+        monkeypatch.setattr(ensemble, "ThreadPoolExecutor", RecordingPool)
+
     def test_env_cap(self, monkeypatch):
+        # COUPLEMAP_THREADS no longer caps the pool: only the CPU count and
+        # the number of jobs do
         monkeypatch.setenv("COUPLEMAP_THREADS", "3")
-        assert worker_count(10) == 3
-        assert worker_count(2) == 2
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 8)
+        jobs = list(range(10))
+        assert ensemble._run_jobs(abs, jobs, POOL_MIN_BINS) == jobs
+        assert ensemble._run_jobs(abs, jobs[:2], POOL_MIN_BINS) == jobs[:2]
+        assert RecordingPool.opened == [8, 2]
 
     def test_zero_means_auto(self, monkeypatch):
+        # the worker count is always automatic: one thread per CPU, and a
+        # serial loop when the CPU count is unknown or the bins are few
         monkeypatch.setenv("COUPLEMAP_THREADS", "0")
-        assert worker_count(1) == 1
-        assert worker_count(10_000) >= 1
-
-    def test_garbage_means_auto(self, monkeypatch):
-        monkeypatch.setenv("COUPLEMAP_THREADS", "lots")
-        assert worker_count(4) >= 1
+        jobs = list(range(6))
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: None)
+        assert ensemble._run_jobs(abs, jobs, POOL_MIN_BINS) == jobs
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 4)
+        assert ensemble._run_jobs(abs, jobs, POOL_MIN_BINS - 1) == jobs
+        assert RecordingPool.opened == []
+        assert ensemble._run_jobs(abs, jobs, POOL_MIN_BINS) == jobs
+        assert RecordingPool.opened == [4]
 
 
 class TestConfidenceInterval:
@@ -100,6 +128,11 @@ class TestConfidenceInterval:
         # S = sqrt(2) and n = 2 cancel: the half-width IS the 90% Z
         _, half_width = confidence_interval([0.0, 2.0], 0.90)
         assert half_width == pytest.approx(1.6449, abs=1e-4)
+        # S = 2 and sqrt(n) = 2 cancel exactly: the half-width is bit for
+        # bit the two-sided normal quantile
+        for level in (0.5, 0.9, 0.95, 0.99):
+            _, half_width = confidence_interval([3.0, -1.0, -1.0, -1.0], level)
+            assert half_width == norm.ppf((1.0 + level) / 2.0), level
 
     def test_constant_samples(self):
         assert confidence_interval([4.2, 4.2, 4.2], 0.90) == (4.2, 0.0)
@@ -215,12 +248,17 @@ class TestRunFgnEnsemble:
         )
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
+        # at POOL_MIN_BINS bins the replicas go to one thread per CPU; one
+        # CPU runs them serially, four on a pool, and the rows must agree
         cfg = EnsembleConfig(
-            hurst_values=(0.3, 0.7), replicas_per_h=3, series_length=128, bin_count=8
+            hurst_values=(0.3, 0.7),
+            replicas_per_h=3,
+            series_length=512,
+            bin_count=POOL_MIN_BINS,
         )
-        monkeypatch.setenv("COUPLEMAP_THREADS", "1")
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 1)
         serial = run_fgn_ensemble(cfg)
-        monkeypatch.setenv("COUPLEMAP_THREADS", "4")
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 4)
         threaded = run_fgn_ensemble(cfg)
         assert serial.system_names() == threaded.system_names()
         for system in serial.system_names():
@@ -293,6 +331,34 @@ class TestRunSurrogatePair:
         a = run_surrogate_pair(x, y, replicas=3, bin_count=8, master_seed=1)
         b = run_surrogate_pair(x, y, replicas=3, bin_count=8, master_seed=1)
         assert a.rows("surrogate") == b.rows("surrogate")
+
+    def test_pool_path_matches_one_by_one(self, monkeypatch):
+        # replicas go to a pool of one thread per CPU from POOL_MIN_BINS
+        # bins on; either path must give the rows of measuring the
+        # surrogates one by one in replica order
+        RecordingPool.opened = []
+        monkeypatch.setattr(ensemble, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+        x, y = self._pair(n=512)
+        replicas = 3
+        for bins, expected_pools in ((POOL_MIN_BINS - 1, []), (POOL_MIN_BINS, [2])):
+            summary = run_surrogate_pair(
+                x, y, replicas=replicas, bin_count=bins, master_seed=7
+            )
+            assert RecordingPool.opened == expected_pools
+            reports = [
+                measure_all(
+                    map_pair(
+                        AlignedPair(
+                            surrogate(x, derive_seed(7, r, 0)),
+                            surrogate(y, derive_seed(7, r, 1)),
+                        ),
+                        bin_count=bins,
+                    )
+                )
+                for r in range(replicas)
+            ]
+            assert summary.rows("surrogate") == _aggregate(reports, DEFAULT_LEVEL)
 
 
 class TestEnsembleSummary:

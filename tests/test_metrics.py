@@ -30,7 +30,7 @@ from couplemap.metrics import (
     modularity_stats,
     path_stats,
 )
-from couplemap.netmap import JointProbability, map_pair
+from couplemap.netmap import map_pair
 from couplemap.series import AlignedPair, index_series
 
 
@@ -79,7 +79,7 @@ class TestSchema:
 class TestDeformationRatio:
     def test_uniform_is_symmetric(self):
         for b in (2, 3, 5):
-            jp = JointProbability(b, np.full((b, b), 1.0 / (b * b)))
+            jp = np.full((b, b), 1.0 / (b * b))
             assert abs(deformation_ratio(jp)) < 1e-9
 
     def test_main_diagonal_support(self):
@@ -87,24 +87,24 @@ class TestDeformationRatio:
         p[0, 0] = 0.5
         p[2, 2] = 0.3
         p[3, 3] = 0.2
-        assert deformation_ratio(JointProbability(4, p)) == 1.0
+        assert deformation_ratio(p) == 1.0
 
     def test_anti_diagonal_support(self):
         p = np.zeros((3, 3))
         p[0, 2] = 0.5
         p[2, 0] = 0.5
-        assert deformation_ratio(JointProbability(3, p)) == -1.0
+        assert deformation_ratio(p) == -1.0
 
     def test_single_cell(self):
         p = np.zeros((3, 3))
         p[1, 2] = 1.0
-        assert deformation_ratio(JointProbability(3, p)) == 0.0
+        assert deformation_ratio(p) == 0.0
 
     def test_pinned_example(self):
-        jp = JointProbability(2, np.array([[0.5, 0.25], [0.0, 0.25]]))
+        jp = np.array([[0.5, 0.25], [0.0, 0.25]])
         r = deformation_ratio(jp)
         assert r == pytest.approx(0.4777, abs=1e-4)
-        assert_close(r, oracles.oracle_deformation_ratio(jp.p.tolist()), "R")
+        assert_close(r, oracles.oracle_deformation_ratio(jp.tolist()), "R")
 
     def test_transpose_invariant(self, rng):
         for _ in range(25):

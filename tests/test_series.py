@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from couplemap import (
@@ -287,6 +287,7 @@ class TestStandardize:
         a=st.floats(min_value=1e-3, max_value=1e3),
         b=st.floats(min_value=-1e3, max_value=1e3),
     )
+    @example(values=[0, 0, 0.00390625], a=0.00390625, b=128)
     def test_affine_invariance(self, values, a, b):
         base = np.asarray(values)
         if base.std() < 1e-6:

@@ -1,4 +1,4 @@
-"""Noise generation, surrogates, spectra and Hurst estimation."""
+"""Noise generation, surrogates and Hurst estimation."""
 
 import math
 
@@ -14,13 +14,7 @@ from couplemap import (
     surrogate,
 )
 from couplemap.series import KIND_STANDARDIZED, index_series
-from couplemap.synth import (
-    Spectrum,
-    _circulant_fgn,
-    _recursive_fgn,
-    inverse_spectrum,
-    spectrum,
-)
+from couplemap.synth import _circulant_fgn, _embedding_eigenvalues
 
 
 def sample_acf(values: np.ndarray, lag: int) -> float:
@@ -107,20 +101,38 @@ class TestGenerateFgn:
             pooled /= 50
             assert np.all(np.abs(pooled - theory[1:]) <= 0.05), h
 
-    def test_recursive_fallback_agrees_statistically(self):
-        # same covariance target as the circulant path, different algorithm
-        acov = fgn_autocovariance(0.8, 511)
-        draws = [
-            _recursive_fgn(acov, 512, np.random.default_rng(seed))
-            for seed in range(30)
-        ]
-        lag1 = np.mean([sample_acf(d, 1) for d in draws])
-        assert abs(lag1 - acov[1]) < 0.08
+    def test_high_hurst_lag_one_autocorrelation(self):
+        # strongly persistent noise at the battery's length. Removing each
+        # draw's own mean lowers the pooled lag-1 autocorrelation from
+        # rho1 = 2^(2H-1) - 1 to (rho1 - V) / (1 - V), V = N^(2H-2). The
+        # 32-draw estimate spreads about 0.008 over disjoint seed blocks
+        n, draws = 2000, 32
+        for h in (0.95, 0.99):
+            num = den = 0.0
+            for seed in range(draws):
+                v = generate_fgn(FgnSpec(h, n, seed)).values
+                v = v - v.mean()
+                num += float(v[:-1] @ v[1:])
+                den += float(v @ v)
+            rho1 = 2.0 ** (2 * h - 1) - 1.0
+            var_mean = n ** (2 * h - 2)
+            expected = (rho1 - var_mean) / (1.0 - var_mean)
+            assert abs(num / den - expected) <= 0.025, h
+
+    def test_embedding_eigenvalues_non_negative(self):
+        # Davies-Harte embedding of fGn is non-negative definite for every
+        # H and N, so generate_fgn never needs another sampler
+        for h in np.arange(1, 100) / 100:
+            for n in (16, 17, 31, 64, 100, 257, 1000, 2000, 2001, 5000, 20000):
+                eig = _embedding_eigenvalues(fgn_autocovariance(h, n))
+                assert len(eig) == n + 1
+                assert eig.min() >= 0.0, (h, n)
 
     def test_circulant_matches_requested_length(self):
-        acov = fgn_autocovariance(0.6, 99)
-        out = _circulant_fgn(acov, 100, np.random.default_rng(0))
+        acov = fgn_autocovariance(0.6, 100)
+        out = _circulant_fgn(acov, np.random.default_rng(0))
         assert out.shape == (100,)
+
 
 class TestSurrogate:
     def test_amplitude_spectrum_preserved(self):
@@ -199,60 +211,6 @@ class TestSurrogate:
         for lag in range(1, 11):
             diff = abs(sample_acf(out.values, lag) - sample_acf(s.values, lag))
             assert diff <= 3.0 / math.sqrt(n), lag
-
-
-class TestSpectrum:
-    def test_forward_convention_small_oracle(self):
-        # X(k) = (1/N) sum_t x_t exp(+2 pi i k t / N), checked term by term
-        values = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
-        n = len(values)
-        sp = spectrum(index_series(values))
-        for k in range(n):
-            direct = sum(
-                values[t] * np.exp(2j * np.pi * k * t / n) for t in range(n)
-            ) / n
-            assert sp.amplitudes[k] == pytest.approx(abs(direct), abs=1e-12)
-            if abs(direct) > 1e-12:
-                got = sp.amplitudes[k] * np.exp(1j * sp.phases[k])
-                assert got == pytest.approx(direct, abs=1e-12)
-
-    def test_constant_series_is_pure_dc(self):
-        sp = spectrum(index_series([4.0, 4.0, 4.0, 4.0]))
-        assert sp.amplitudes[0] == pytest.approx(4.0)
-        assert np.allclose(sp.amplitudes[1:], 0.0, atol=1e-12)
-
-    def test_real_series_is_hermitian(self):
-        s = index_series(np.random.default_rng(2).normal(size=32))
-        assert spectrum(s).hermitian
-
-    def test_round_trip(self):
-        values = np.random.default_rng(6).normal(size=50)
-        sp = spectrum(index_series(values))
-        back = inverse_spectrum(sp)
-        assert np.allclose(back, values, atol=1e-9)
-        assert back.dtype == np.float64
-
-    def test_non_hermitian_inverse_is_complex(self):
-        rng = np.random.default_rng(8)
-        amp = np.abs(rng.normal(size=8)) + 0.1
-        phases = rng.uniform(-math.pi / 2, math.pi / 2, size=8)
-        sp = Spectrum(amp, phases, 8)
-        assert not sp.hermitian
-        assert np.iscomplexobj(inverse_spectrum(sp))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Spectrum(np.array([1.0, -0.5]), np.array([0.0, 0.0]), 2)
-        with pytest.raises(ValueError):
-            Spectrum(np.array([1.0, 0.5]), np.array([0.0, 4.0]), 2)
-        with pytest.raises(ValueError):
-            Spectrum(np.array([1.0]), np.array([0.0, 0.0]), 2)
-
-    def test_phases_half_open_interval(self):
-        s = index_series(np.random.default_rng(9).normal(size=64))
-        sp = spectrum(s)
-        assert np.all(sp.phases > -math.pi)
-        assert np.all(sp.phases <= math.pi)
 
 
 class TestEstimateHurst:
