@@ -1,10 +1,9 @@
 """Baseline ensembles, confidence intervals and radar comparisons.
 
 Replica seeds are derived from (master_seed, stream, index) with a
-splitmix64-style mix, so results do not depend on scheduling. Replicas run
-serially below POOL_MIN_BINS bins and on a pool of one thread per CPU at or
-above it; aggregation always folds in replica order, so summaries are
-byte-identical for a fixed config on either path.
+splitmix64-style mix, so a replica's result depends only on the config and
+its index. Replicas run one after another and aggregation folds them in
+replica order, so summaries are byte-identical for a fixed config.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,14 +35,6 @@ UNCOUPLED_SYSTEM = "fgn_h0.5"
 COUPLING_LAG = "lag"
 COUPLING_PAIR = "pair"
 
-#: Bin count from which replicas run on a thread pool. Below it a replica's
-#: time goes mostly to Python loops that hold the interpreter lock, so
-#: threads only contend; from it on, O(B^3) NumPy work that releases the
-#: lock dominates and the pool beats one thread. Serial over pooled time of
-#: run_surrogate_pair (16 replicas, N = 2000, 2 CPUs): 0.88 at B = 50, 0.91
-#: at 100, 1.13 at 150, 1.12 at 200.
-POOL_MIN_BINS = 150
-
 
 def derive_seed(master_seed: int, stream: int, index: int) -> int:
     """Stable 64-bit mix of (master_seed, stream, index)."""
@@ -59,15 +48,6 @@ def derive_seed(master_seed: int, stream: int, index: int) -> int:
     z = master_seed & _MASK64
     z = mix(z ^ (stream & _MASK64))
     return mix(z ^ (index & _MASK64))
-
-
-def _run_jobs(fn, args: list, bin_count: int) -> list:
-    """Map fn over args, results in argument order."""
-    workers = min(len(args), os.cpu_count() or 1)
-    if bin_count < POOL_MIN_BINS or workers <= 1:
-        return [fn(a) for a in args]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args))
 
 
 def confidence_interval(samples, level: float = DEFAULT_LEVEL) -> tuple[float, float]:
@@ -180,8 +160,7 @@ def run_fgn_ensemble(cfg: EnsembleConfig, level: float = DEFAULT_LEVEL) -> Ensem
     second independent noise per replica (seed streams 2r and 2r + 1).
     """
 
-    def one_replica(job) -> MeasureReport:
-        h_index, replica = job
+    def one_replica(h_index: int, replica: int) -> MeasureReport:
         h = cfg.hurst_values[h_index]
         if cfg.coupling == COUPLING_LAG:
             seed = derive_seed(cfg.master_seed, h_index, replica)
@@ -195,12 +174,11 @@ def run_fgn_ensemble(cfg: EnsembleConfig, level: float = DEFAULT_LEVEL) -> Ensem
             net = map_pair(AlignedPair(x, y), bin_count=cfg.bin_count)
         return measure_all(net)
 
-    jobs = [
-        (h_index, replica)
+    reports = [
+        one_replica(h_index, replica)
         for h_index in range(len(cfg.hurst_values))
         for replica in range(cfg.replicas_per_h)
     ]
-    reports = _run_jobs(one_replica, jobs, cfg.bin_count)
 
     systems = {}
     per_h = cfg.replicas_per_h
@@ -230,7 +208,7 @@ def run_surrogate_pair(
         net = map_pair(AlignedPair(sx, sy), bin_count=bin_count)
         return measure_all(net)
 
-    reports = _run_jobs(one_replica, list(range(replicas)), bin_count)
+    reports = [one_replica(replica) for replica in range(replicas)]
     return EnsembleSummary({system: _aggregate(reports, level)})
 
 

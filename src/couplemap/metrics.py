@@ -159,20 +159,22 @@ def clustering_stats(net: CouplingNetwork) -> ClusteringStats:
     """
     if net.bin_count < 3:
         raise ValueError("clustering needs at least 3 bins")
-    a = _binarized(net).astype(np.int64)
-    np.fill_diagonal(a, 0)
+    # float64 so the products go to BLAS; every count stays below 2**53,
+    # so the results are exact integers, as with int64
+    a = _binarized(net).astype(np.float64)
+    np.fill_diagonal(a, 0.0)
 
-    u = ((a + a.T) > 0).astype(np.int64)
+    u = ((a + a.T) > 0).astype(np.float64)
     deg = u.sum(axis=1)
-    closed = np.diagonal(u @ u @ u).astype(np.float64)
-    triples = (deg * (deg - 1)).astype(np.float64)
+    closed = np.einsum("ij,ji->i", u @ u, u)
+    triples = deg * (deg - 1)
     global_coef = float(closed.sum() / triples.sum()) if triples.sum() > 0 else 0.0
     local_u = np.divide(closed, triples, out=np.zeros_like(closed), where=triples > 0)
 
     s = a + a.T
-    s3 = np.diagonal(s @ s @ s).astype(np.float64)
+    s3 = np.einsum("ij,ji->i", s @ s, s)
     d_tot = a.sum(axis=1) + a.sum(axis=0)
-    d_bi = np.diagonal(a @ a)
+    d_bi = np.einsum("ij,ji->i", a, a)
     denom = 2.0 * (d_tot * (d_tot - 1) - 2 * d_bi)
     local_d = np.divide(s3, denom, out=np.zeros_like(s3), where=denom > 0)
 
@@ -185,25 +187,26 @@ def clustering_stats(net: CouplingNetwork) -> ClusteringStats:
 
 
 def _bfs_distance_sums(adj: np.ndarray) -> tuple[int, int]:
-    """(sum of finite distances, number of reachable ordered pairs i != j)."""
-    n = len(adj)
+    """(sum of finite distances, number of reachable ordered pairs i != j).
+
+    Breadth-first search from every source at once: row i of the frontier
+    holds the nodes first reached from i at the current distance.
+    """
+    a = adj.astype(np.float64)
+    reach = np.eye(len(adj), dtype=bool)
+    frontier = reach
     total = 0
     count = 0
-    for source in range(n):
-        visited = np.zeros(n, dtype=bool)
-        visited[source] = True
-        frontier = visited.copy()
-        dist = 0
-        while True:
-            reached = adj[frontier].any(axis=0) & ~visited
-            if not reached.any():
-                break
-            dist += 1
-            hits = int(reached.sum())
-            total += dist * hits
-            count += hits
-            visited |= reached
-            frontier = reached
+    dist = 0
+    while True:
+        frontier = ((frontier @ a) > 0) & ~reach
+        hits = int(frontier.sum())
+        if not hits:
+            break
+        dist += 1
+        total += dist * hits
+        count += hits
+        reach |= frontier
     return total, count
 
 
@@ -309,42 +312,43 @@ def detect_communities(net: CouplingNetwork) -> np.ndarray:
     """
     if int(net.weights.sum()) == 0:
         raise NoEdges("cannot detect communities without edges")
-    s = (net.weights + net.weights.T).astype(np.float64)
-    two_m = s.sum()
+    e = (net.weights + net.weights.T).astype(np.float64)
+    two_m = e.sum()
+    tot = e.sum(axis=1)
+    n = net.bin_count
 
-    e = s.copy()
-    tot = s.sum(axis=1)
-    ids = list(range(net.bin_count))
-    members = {i: [i] for i in ids}
-
-    best_labels = np.arange(net.bin_count, dtype=np.int64)
+    labels = np.arange(n, dtype=np.int64)
+    best_labels = labels.copy()
     q = float(np.trace(e) / two_m - ((tot / two_m) ** 2).sum())
     best_q = q
 
-    while len(ids) > 1:
-        gain = 2.0 * (e / two_m - np.outer(tot, tot) / (two_m * two_m))
-        np.fill_diagonal(gain, -np.inf)
-        top = gain.max()
-        cand = np.argwhere(gain == top)
-        pairs = sorted(
-            (min(ids[i], ids[j]), max(ids[i], ids[j])) for i, j in cand if i < j
-        )
-        id_a, id_b = pairs[0]
-        ia, ib = ids.index(id_a), ids.index(id_b)
+    # gain[i, j] for live communities i < j, -inf elsewhere; community i
+    # keeps row and column i, so the first maximum in row-major order is
+    # the lexicographically smallest best pair
+    gain = 2.0 * (e / two_m - np.outer(tot, tot) / (two_m * two_m))
+    gain[np.tril_indices(n)] = -np.inf
+    live = np.ones(n, dtype=bool)
 
-        e[ia, :] += e[ib, :]
-        e[:, ia] += e[:, ib]
-        e = np.delete(np.delete(e, ib, axis=0), ib, axis=1)
-        tot[ia] += tot[ib]
-        tot = np.delete(tot, ib)
-        members[id_a].extend(members.pop(id_b))
-        ids.pop(ib)
+    for _ in range(n - 1):
+        a, b = divmod(int(np.argmax(gain)), n)
+        top = gain[a, b]
+
+        e[a, :] += e[b, :]
+        e[:, a] += e[:, b]
+        tot[a] += tot[b]
+        labels[labels == b] = a
+        live[b] = False
+        gain[b, :] = -np.inf
+        gain[:, b] = -np.inf
+        row = 2.0 * (e[a] / two_m - tot[a] * tot / (two_m * two_m))
+        row[~live] = -np.inf
+        gain[a, a + 1 :] = row[a + 1 :]
+        gain[:a, a] = row[:a]
 
         q += top
         if q > best_q + 1e-15:
             best_q = q
-            for cid in ids:
-                best_labels[members[cid]] = cid
+            best_labels = labels.copy()
     return best_labels
 
 

@@ -217,7 +217,12 @@ def log_returns(s: TimeSeries) -> TimeSeries:
         raise WrongKind(f"log_returns expects kind=raw, got {s.kind}")
     if np.any(s.values <= 0):
         raise NonPositiveValue("log_returns needs strictly positive values")
-    vals = np.log(s.values[1:] / s.values[:-1])
+    with np.errstate(over="ignore", divide="ignore"):
+        vals = np.log(s.values[1:] / s.values[:-1])
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        stamp = s.timestamps[1:][np.argmax(bad)]
+        raise ValueError(f"log-return at {stamp} is out of the float range")
     return TimeSeries(s.timestamps[1:], vals, KIND_LOG_RETURN)
 
 

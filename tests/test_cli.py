@@ -79,6 +79,16 @@ class TestMap:
         assert stderr.startswith("EmptyIntersection:")
         assert stderr.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_log_return_out_of_float_range(self, tmp_path, capsys):
+        # finite prices whose ratios overflow to inf or underflow to 0
+        extreme = write_series_csv(tmp_path / "e.csv", [1e308, 1e-308] * 5)
+        plain = write_series_csv(tmp_path / "p.csv", np.arange(100.0, 110.0))
+        code, stdout, stderr = run_cli(capsys, "map", extreme, plain, "--bins", "4")
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "ValueError:log-return at 1 is out of the float range\n"
+
     def test_raw_preprocess(self, market_csvs, tmp_path, capsys):
         x, y = market_csvs
         out = tmp_path / "raw_out"

@@ -1,7 +1,6 @@
 """Ensemble aggregation, confidence intervals, seeds and radar reports."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,11 +22,9 @@ from couplemap import (
     run_surrogate_pair,
     write_summary_csv,
 )
-from couplemap import ensemble
 from couplemap.ensemble import (
     DEFAULT_LEVEL,
     DEFAULT_MASTER_SEED,
-    POOL_MIN_BINS,
     SUMMARY_COLUMNS,
     UNCOUPLED_SYSTEM,
     _aggregate,
@@ -76,46 +73,6 @@ class TestDeriveSeed:
             for index in range(64)
         }
         assert len(seeds) == 16 * 64
-
-
-class RecordingPool(ThreadPoolExecutor):
-    """A thread pool that notes the worker count it was opened with."""
-
-    opened: list = []
-
-    def __init__(self, max_workers):
-        RecordingPool.opened.append(max_workers)
-        super().__init__(max_workers)
-
-
-class TestWorkerCount:
-    @pytest.fixture(autouse=True)
-    def _record_pools(self, monkeypatch):
-        RecordingPool.opened = []
-        monkeypatch.setattr(ensemble, "ThreadPoolExecutor", RecordingPool)
-
-    def test_env_cap(self, monkeypatch):
-        # COUPLEMAP_THREADS no longer caps the pool: only the CPU count and
-        # the number of jobs do
-        monkeypatch.setenv("COUPLEMAP_THREADS", "3")
-        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 8)
-        jobs = list(range(10))
-        assert ensemble._run_jobs(abs, jobs, POOL_MIN_BINS) == jobs
-        assert ensemble._run_jobs(abs, jobs[:2], POOL_MIN_BINS) == jobs[:2]
-        assert RecordingPool.opened == [8, 2]
-
-    def test_zero_means_auto(self, monkeypatch):
-        # the worker count is always automatic: one thread per CPU, and a
-        # serial loop when the CPU count is unknown or the bins are few
-        monkeypatch.setenv("COUPLEMAP_THREADS", "0")
-        jobs = list(range(6))
-        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: None)
-        assert ensemble._run_jobs(abs, jobs, POOL_MIN_BINS) == jobs
-        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 4)
-        assert ensemble._run_jobs(abs, jobs, POOL_MIN_BINS - 1) == jobs
-        assert RecordingPool.opened == []
-        assert ensemble._run_jobs(abs, jobs, POOL_MIN_BINS) == jobs
-        assert RecordingPool.opened == [4]
 
 
 class TestConfidenceInterval:
@@ -247,23 +204,6 @@ class TestRunFgnEnsemble:
             mean, abs=1e-12
         )
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        # at POOL_MIN_BINS bins the replicas go to one thread per CPU; one
-        # CPU runs them serially, four on a pool, and the rows must agree
-        cfg = EnsembleConfig(
-            hurst_values=(0.3, 0.7),
-            replicas_per_h=3,
-            series_length=512,
-            bin_count=POOL_MIN_BINS,
-        )
-        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 1)
-        serial = run_fgn_ensemble(cfg)
-        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 4)
-        threaded = run_fgn_ensemble(cfg)
-        assert serial.system_names() == threaded.system_names()
-        for system in serial.system_names():
-            assert serial.rows(system) == threaded.rows(system)
-
     def test_pair_mode_differs_from_lag_mode(self):
         lag = run_fgn_ensemble(EnsembleConfig(**SMALL))
         pair = run_fgn_ensemble(EnsembleConfig(**SMALL, coupling="pair"))
@@ -331,34 +271,20 @@ class TestRunSurrogatePair:
         a = run_surrogate_pair(x, y, replicas=3, bin_count=8, master_seed=1)
         b = run_surrogate_pair(x, y, replicas=3, bin_count=8, master_seed=1)
         assert a.rows("surrogate") == b.rows("surrogate")
-
-    def test_pool_path_matches_one_by_one(self, monkeypatch):
-        # replicas go to a pool of one thread per CPU from POOL_MIN_BINS
-        # bins on; either path must give the rows of measuring the
-        # surrogates one by one in replica order
-        RecordingPool.opened = []
-        monkeypatch.setattr(ensemble, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
-        x, y = self._pair(n=512)
-        replicas = 3
-        for bins, expected_pools in ((POOL_MIN_BINS - 1, []), (POOL_MIN_BINS, [2])):
-            summary = run_surrogate_pair(
-                x, y, replicas=replicas, bin_count=bins, master_seed=7
-            )
-            assert RecordingPool.opened == expected_pools
-            reports = [
-                measure_all(
-                    map_pair(
-                        AlignedPair(
-                            surrogate(x, derive_seed(7, r, 0)),
-                            surrogate(y, derive_seed(7, r, 1)),
-                        ),
-                        bin_count=bins,
-                    )
+        # replica r surrogates x and y with derive_seed(master, r, 0 / 1)
+        reports = [
+            measure_all(
+                map_pair(
+                    AlignedPair(
+                        surrogate(x, derive_seed(1, r, 0)),
+                        surrogate(y, derive_seed(1, r, 1)),
+                    ),
+                    bin_count=8,
                 )
-                for r in range(replicas)
-            ]
-            assert summary.rows("surrogate") == _aggregate(reports, DEFAULT_LEVEL)
+            )
+            for r in range(3)
+        ]
+        assert a.rows("surrogate") == _aggregate(reports, DEFAULT_LEVEL)
 
 
 class TestEnsembleSummary:

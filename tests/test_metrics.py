@@ -30,8 +30,9 @@ from couplemap.metrics import (
     modularity_stats,
     path_stats,
 )
-from couplemap.netmap import map_pair
+from couplemap.netmap import map_lagged, map_pair
 from couplemap.series import AlignedPair, index_series
+from couplemap.synth import FgnSpec, generate_fgn, surrogate
 
 
 def assert_close(lhs, rhs, label, tol=1e-12):
@@ -47,6 +48,20 @@ def assert_matches_oracle(w):
     assert tuple(report["flags"]) == expected["flags"]
     for name in MEASURE_FIELDS:
         assert_close(report[name], expected[name], name)
+
+
+def measured_weights(kind: str, bins: int) -> np.ndarray:
+    """A network of the size the pipeline measures, from H = 0.9 fGn, N = 2000.
+
+    ``fgn-lag`` maps one noise against its own lag 1; ``surrogate`` maps
+    Fourier surrogates of two independent noises.
+    """
+    x = generate_fgn(FgnSpec(0.9, 2000, 11))
+    if kind == "fgn-lag":
+        return map_lagged(x, lag=1, bin_count=bins).weights
+    y = generate_fgn(FgnSpec(0.9, 2000, 12))
+    pair = AlignedPair(surrogate(x, 13), surrogate(y, 14))
+    return map_pair(pair, bin_count=bins).weights
 
 
 class TestSchema:
@@ -336,13 +351,29 @@ class TestCommunities:
             detect_communities(CouplingNetwork(3, np.zeros((3, 3), dtype=np.int64), 0))
 
     def test_deterministic_tie_breaking(self, rng):
-        for _ in range(20):
-            w = random_weights(rng)
+        # tied best gains; merging the last tied pair first changes the labels
+        tied = np.array(
+            [
+                [1, 0, 1, 1, 1, 1],
+                [0, 1, 1, 1, 1, 1],
+                [1, 1, 1, 1, 0, 1],
+                [1, 1, 0, 1, 0, 1],
+                [1, 1, 0, 0, 1, 0],
+                [1, 1, 0, 1, 1, 1],
+            ]
+        )
+        for w in [tied] + [random_weights(rng) for _ in range(20)]:
             net = net_from(w)
             first = detect_communities(net)
             second = detect_communities(net)
             assert np.array_equal(first, second)
             assert list(first) == oracles.oracle_detect_communities(w.tolist())
+
+    @pytest.mark.parametrize("kind, bins", [("fgn-lag", 200)])
+    def test_oracle_labels_at_measured_size(self, kind, bins):
+        w = measured_weights(kind, bins)
+        labels = detect_communities(net_from(w))
+        assert list(labels) == oracles.oracle_detect_communities(w.tolist())
 
 
 class TestModularity:
@@ -487,3 +518,43 @@ class TestOracleEquivalence:
     def test_random_graphs(self, rng):
         for _ in range(60):
             assert_matches_oracle(random_weights(rng))
+
+    @pytest.mark.parametrize("kind", ["fgn-lag", "surrogate"])
+    def test_measured_size(self, kind):
+        assert_matches_oracle(measured_weights(kind, 50))
+
+
+class TestNetworkxDifferential:
+    """Clustering and path means against networkx on measured networks."""
+
+    @pytest.mark.parametrize("kind", ["fgn-lag", "surrogate"])
+    @pytest.mark.parametrize("bins", [50, 200])
+    def test_clustering_and_paths(self, kind, bins):
+        nx = pytest.importorskip("networkx")
+        w = measured_weights(kind, bins)
+        directed = nx.DiGraph()
+        directed.add_nodes_from(range(bins))
+        directed.add_edges_from(zip(*np.nonzero(w)))
+        directed.remove_edges_from(list(nx.selfloop_edges(directed)))
+        undirected = directed.to_undirected()
+
+        def mean_path(graph):
+            total = count = 0
+            for _, lengths in nx.all_pairs_shortest_path_length(graph):
+                total += sum(lengths.values())
+                count += len(lengths) - 1
+            return total / count
+
+        def mean_clustering(graph):
+            return np.mean(list(nx.clustering(graph).values()))
+
+        report = measure_all(net_from(w))
+        expected = {
+            "cl_global": nx.transitivity(undirected),
+            "cl_local_undirected_mean": mean_clustering(undirected),
+            "cl_local_directed_mean": mean_clustering(directed),
+            "mean_len_directed": mean_path(directed),
+            "mean_len_undirected": mean_path(undirected),
+        }
+        for name, value in expected.items():
+            assert_close(getattr(report, name), value, name)
