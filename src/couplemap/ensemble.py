@@ -2,8 +2,10 @@
 
 Replica seeds are derived from (master_seed, stream, index) with a
 splitmix64-style mix, so a replica's result depends only on the config and
-its index. Replicas run one after another and aggregation folds them in
-replica order, so summaries are byte-identical for a fixed config.
+its index. Replicas are built one after another, and each system's networks
+are measured in stacks (metrics.measure_many), which gives the reports of
+measuring them one by one. Aggregation folds them in replica order, so
+summaries are byte-identical for a fixed config.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import IoError, MismatchedMeasureSets, ParseError, TooFewSamples
-from .metrics import MEASURE_FIELDS, MeasureReport, measure_all
-from .netmap import DEFAULT_BIN_COUNT, map_lagged, map_pair
+from .metrics import MEASURE_FIELDS, measure_many
+from .netmap import DEFAULT_BIN_COUNT, CouplingNetwork, map_lagged, map_pair
 from .series import AlignedPair, TimeSeries
 from .synth import FgnSpec, generate_fgn, surrogate
 
@@ -160,31 +162,24 @@ def run_fgn_ensemble(cfg: EnsembleConfig, level: float = DEFAULT_LEVEL) -> Ensem
     second independent noise per replica (seed streams 2r and 2r + 1).
     """
 
-    def one_replica(h_index: int, replica: int) -> MeasureReport:
+    def network(h_index: int, replica: int) -> CouplingNetwork:
         h = cfg.hurst_values[h_index]
         if cfg.coupling == COUPLING_LAG:
             seed = derive_seed(cfg.master_seed, h_index, replica)
             series = generate_fgn(FgnSpec(h, cfg.series_length, seed))
-            net = map_lagged(series, lag=cfg.lag, bin_count=cfg.bin_count)
-        else:
-            seed_x = derive_seed(cfg.master_seed, h_index, 2 * replica)
-            seed_y = derive_seed(cfg.master_seed, h_index, 2 * replica + 1)
-            x = generate_fgn(FgnSpec(h, cfg.series_length, seed_x))
-            y = generate_fgn(FgnSpec(h, cfg.series_length, seed_y))
-            net = map_pair(AlignedPair(x, y), bin_count=cfg.bin_count)
-        return measure_all(net)
-
-    reports = [
-        one_replica(h_index, replica)
-        for h_index in range(len(cfg.hurst_values))
-        for replica in range(cfg.replicas_per_h)
-    ]
+            return map_lagged(series, lag=cfg.lag, bin_count=cfg.bin_count)
+        seed_x = derive_seed(cfg.master_seed, h_index, 2 * replica)
+        seed_y = derive_seed(cfg.master_seed, h_index, 2 * replica + 1)
+        x = generate_fgn(FgnSpec(h, cfg.series_length, seed_x))
+        y = generate_fgn(FgnSpec(h, cfg.series_length, seed_y))
+        return map_pair(AlignedPair(x, y), bin_count=cfg.bin_count)
 
     systems = {}
-    per_h = cfg.replicas_per_h
     for h_index, h in enumerate(cfg.hurst_values):
-        chunk = reports[h_index * per_h : (h_index + 1) * per_h]
-        systems[fgn_system_name(h)] = _aggregate(chunk, level)
+        reports = measure_many(
+            network(h_index, replica) for replica in range(cfg.replicas_per_h)
+        )
+        systems[fgn_system_name(h)] = _aggregate(reports, level)
     return EnsembleSummary(systems)
 
 
@@ -202,13 +197,12 @@ def run_surrogate_pair(
     if replicas < 2:
         raise TooFewSamples(f"need at least 2 replicas, got {replicas}")
 
-    def one_replica(replica: int) -> MeasureReport:
+    def network(replica: int) -> CouplingNetwork:
         sx = surrogate(x, derive_seed(master_seed, replica, 0))
         sy = surrogate(y, derive_seed(master_seed, replica, 1))
-        net = map_pair(AlignedPair(sx, sy), bin_count=bin_count)
-        return measure_all(net)
+        return map_pair(AlignedPair(sx, sy), bin_count=bin_count)
 
-    reports = [one_replica(replica) for replica in range(replicas)]
+    reports = measure_many(network(replica) for replica in range(replicas))
     return EnsembleSummary({system: _aggregate(reports, level)})
 
 

@@ -27,6 +27,7 @@ from couplemap.metrics import (
     clustering_stats,
     degree_stats,
     detect_communities,
+    measure_many,
     modularity_stats,
     path_stats,
 )
@@ -50,17 +51,22 @@ def assert_matches_oracle(w):
         assert_close(report[name], expected[name], name)
 
 
-def measured_weights(kind: str, bins: int) -> np.ndarray:
-    """A network of the size the pipeline measures, from H = 0.9 fGn, N = 2000.
+def measured_weights(kind: str, bins: int, seed: int = 11) -> np.ndarray:
+    """A network of the size the pipeline measures, from fGn with N = 2000.
 
-    ``fgn-lag`` maps one noise against its own lag 1; ``surrogate`` maps
-    Fourier surrogates of two independent noises.
+    ``fgn-lag`` maps one H = 0.9 noise against its own lag 1; ``surrogate``
+    maps Fourier surrogates of two independent H = 0.9 noises; ``fgn-pair``
+    maps two independent H = 0.95 noises against each other.
     """
-    x = generate_fgn(FgnSpec(0.9, 2000, 11))
+    if kind == "fgn-pair":
+        x = generate_fgn(FgnSpec(0.95, 2000, seed))
+        y = generate_fgn(FgnSpec(0.95, 2000, seed + 1))
+        return map_pair(AlignedPair(x, y), bin_count=bins).weights
+    x = generate_fgn(FgnSpec(0.9, 2000, seed))
     if kind == "fgn-lag":
         return map_lagged(x, lag=1, bin_count=bins).weights
-    y = generate_fgn(FgnSpec(0.9, 2000, 12))
-    pair = AlignedPair(surrogate(x, 13), surrogate(y, 14))
+    y = generate_fgn(FgnSpec(0.9, 2000, seed + 1))
+    pair = AlignedPair(surrogate(x, seed + 2), surrogate(y, seed + 3))
     return map_pair(pair, bin_count=bins).weights
 
 
@@ -315,7 +321,7 @@ class TestCommunities:
         net = edges_net(
             6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
         )
-        labels = detect_communities(net)
+        labels = detect_communities([net])[0]
         assert len(set(labels[:3])) == 1
         assert len(set(labels[3:])) == 1
         assert labels[0] != labels[3]
@@ -326,7 +332,7 @@ class TestCommunities:
         b = 5
         w = np.ones((b, b), dtype=np.int64)
         np.fill_diagonal(w, 0)
-        labels = detect_communities(net_from(w))
+        labels = detect_communities([net_from(w)])[0]
         assert len(set(labels)) == 1
 
     def test_two_cliques_with_bridge(self):
@@ -338,7 +344,7 @@ class TestCommunities:
                         w[i, j] = 1
         w[3, 4] = 1
         net = net_from(w)
-        labels = detect_communities(net)
+        labels = detect_communities([net])[0]
         assert len(set(labels[:4])) == 1 and len(set(labels[4:])) == 1
         assert labels[0] != labels[7]
         best_q, best_partition = oracles.exhaustive_best_partition_q(w.tolist())
@@ -348,7 +354,7 @@ class TestCommunities:
 
     def test_edgeless_rejected(self):
         with pytest.raises(NoEdges):
-            detect_communities(CouplingNetwork(3, np.zeros((3, 3), dtype=np.int64), 0))
+            detect_communities([CouplingNetwork(3, np.zeros((3, 3), dtype=np.int64), 0)])
 
     def test_deterministic_tie_breaking(self, rng):
         # tied best gains; merging the last tied pair first changes the labels
@@ -362,18 +368,33 @@ class TestCommunities:
                 [1, 1, 0, 1, 1, 1],
             ]
         )
-        for w in [tied] + [random_weights(rng) for _ in range(20)]:
+        graphs = [tied] + [random_weights(rng) for _ in range(20)]
+        for w in graphs:
             net = net_from(w)
-            first = detect_communities(net)
-            second = detect_communities(net)
+            first = detect_communities([net])[0]
+            second = detect_communities([net])[0]
             assert np.array_equal(first, second)
             assert list(first) == oracles.oracle_detect_communities(w.tolist())
+        # the same graphs as stacks of at least 4, one per bin count
+        for bins in {len(w) for w in graphs}:
+            group = [w for w in graphs if len(w) == bins]
+            group = group * -(-4 // len(group))
+            labels = detect_communities([net_from(w) for w in group])
+            for w, got in zip(group, labels, strict=True):
+                assert list(got) == oracles.oracle_detect_communities(w.tolist())
 
-    @pytest.mark.parametrize("kind, bins", [("fgn-lag", 200)])
-    def test_oracle_labels_at_measured_size(self, kind, bins):
-        w = measured_weights(kind, bins)
-        labels = detect_communities(net_from(w))
-        assert list(labels) == oracles.oracle_detect_communities(w.tolist())
+    @pytest.mark.parametrize(
+        "kind, bins, count",
+        [
+            pytest.param("fgn-lag", 200, 1, id="fgn-lag-200"),
+            pytest.param("fgn-lag", 50, 4, id="fgn-lag-50-stack-of-4"),
+        ],
+    )
+    def test_oracle_labels_at_measured_size(self, kind, bins, count):
+        weights = [measured_weights(kind, bins, seed=11 + 4 * i) for i in range(count)]
+        labels = detect_communities([net_from(w) for w in weights])
+        for w, got in zip(weights, labels, strict=True):
+            assert list(got) == oracles.oracle_detect_communities(w.tolist())
 
 
 class TestModularity:
@@ -451,6 +472,22 @@ class TestMeasureAll:
                 assert math.isfinite(getattr(report, name)), name
 
 
+class TestMeasureMany:
+    # 27 at B = 50: a stack of 26, then one network alone; 8 at B = 100:
+    # a stack of 6, then two one by one
+    @pytest.mark.parametrize("kind, bins, count", [("fgn-lag", 50, 27), ("surrogate", 100, 8)])
+    def test_equals_measure_all_one_by_one(self, kind, bins, count):
+        nets = [net_from(measured_weights(kind, bins, seed=100 + 4 * i)) for i in range(count)]
+        many = measure_many(iter(nets))
+        assert [repr(r) for r in many] == [repr(measure_all(net)) for net in nets]
+
+        other = net_from(measured_weights(kind, bins + 1))
+        with pytest.raises(ValueError, match="bin count"):
+            measure_many(nets[:2] + [other])
+        with pytest.raises(ValueError, match="bin count"):
+            detect_communities([nets[0], other])
+
+
 class TestTransposeBehavior:
     def test_degree_swap_and_invariants(self, rng):
         for _ in range(20):
@@ -525,7 +562,7 @@ class TestOracleEquivalence:
 
 
 class TestNetworkxDifferential:
-    """Clustering and path means against networkx on measured networks."""
+    """Clustering, path means and modularity against networkx on measured networks."""
 
     @pytest.mark.parametrize("kind", ["fgn-lag", "surrogate"])
     @pytest.mark.parametrize("bins", [50, 200])
@@ -558,3 +595,40 @@ class TestNetworkxDifferential:
         }
         for name, value in expected.items():
             assert_close(getattr(report, name), value, name)
+
+    @pytest.mark.parametrize(
+        "kind, bins",
+        [("fgn-lag", 50), ("fgn-lag", 200), ("surrogate", 50), ("surrogate", 200), ("fgn-pair", 50)],
+    )
+    def test_modularity(self, kind, bins):
+        nx = pytest.importorskip("networkx")
+        w = measured_weights(kind, bins)
+        net = net_from(w)
+        labels = detect_communities([net])[0]
+        communities = [{int(i) for i in np.flatnonzero(labels == c)} for c in np.unique(labels)]
+
+        # networkx counts a self-loop twice in a node's degree, so these
+        # degrees equal the strength of W + W^T
+        s = w + w.T
+        undirected = nx.Graph()
+        undirected.add_nodes_from(range(bins))
+        for i, j in zip(*np.nonzero(np.triu(s, 1))):
+            undirected.add_edge(int(i), int(j), weight=int(s[i, j]))
+        for i in np.flatnonzero(np.diag(w)):
+            undirected.add_edge(int(i), int(i), weight=int(w[i, i]))
+        directed = nx.DiGraph()
+        directed.add_nodes_from(range(bins))
+        for i, j in zip(*np.nonzero(w)):
+            directed.add_edge(int(i), int(j), weight=int(w[i, j]))
+
+        report = measure_all(net)
+        assert_close(
+            report.modularity_total_degree,
+            nx.community.modularity(undirected, communities),
+            "modularity_total_degree",
+        )
+        assert_close(
+            report.modularity_out_degree,
+            nx.community.modularity(directed, communities),
+            "modularity_out_degree",
+        )
