@@ -1,9 +1,10 @@
 """Command-line surface: fetch, map, map-lag, baseline, surrogate, compare.
 
 Every subcommand validates numeric flags against the owning module's
-preconditions before any work starts, prints the written file paths on
-stdout, and reports failures as a single `Kind:detail` line on stderr with
-exit code 1.
+preconditions before any work starts (--bins against the number of samples
+to map and physical memory, before any B x B array exists), prints the
+written file paths on stdout, and reports failures as a single
+`Kind:detail` line on stderr with exit code 1.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .ensemble import (
     write_comparison_json,
     write_summary_csv,
 )
-from .errors import CoupleMapError, IoError, NetworkError, ParseError
+from .errors import CoupleMapError, IoError, NetworkError, ParseError, TooManyBins
 from .metrics import MeasureReport, measure_all
 from .netmap import (
     DEFAULT_BIN_COUNT,
@@ -60,12 +61,29 @@ def _hurst_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad hurst list {text!r}") from None
 
 
+def _check_bins(bins: int, samples: int) -> None:
+    """Refuse a bin count above the number of samples to map, or one whose
+    B x B int64 weight matrix exceeds physical memory (where os.sysconf,
+    a POSIX call, reports it)."""
+    if bins > samples:
+        raise TooManyBins(f"--bins {bins} exceeds the {samples} samples to map")
+    if not hasattr(os, "sysconf"):
+        return
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * bins * bins > memory:
+        raise TooManyBins(
+            f"--bins {bins} needs {8 * bins * bins} bytes per weight matrix, "
+            f"more than the {memory} bytes of physical memory"
+        )
+
+
 def _add_bins(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--bins",
         type=_positive_int,
         default=DEFAULT_BIN_COUNT,
-        help="amplitude bins per series; at least 2 to map, 3 to measure (default 50)",
+        help="amplitude bins per series; at least 2 to map, 3 to measure, "
+        "at most the number of samples mapped (default 50)",
     )
 
 
@@ -166,12 +184,15 @@ def _load_aligned(x_csv: str, y_csv: str, column: str, mode: str) -> AlignedPair
 
 def cmd_map(args) -> list:
     pair = _load_aligned(args.x_csv, args.y_csv, args.column, args.preprocess)
+    _check_bins(args.bins, pair.common_length)
     net = map_pair(pair, bin_count=args.bins)
     return _write_network_files(net, _out_dir(args))
 
 
 def cmd_map_lag(args) -> list:
     series = prepare(load_csv(args.csv, args.column), mode=args.preprocess)
+    if args.lag < len(series):  # a longer lag is map_lagged's LagTooLarge
+        _check_bins(args.bins, len(series) - args.lag)
     net = map_lagged(series, lag=args.lag, bin_count=args.bins)
     return _write_network_files(net, _out_dir(args))
 
@@ -187,6 +208,7 @@ def cmd_baseline(args) -> list:
     )
     if not 0.0 < args.level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {args.level}")
+    _check_bins(args.bins, args.length)
     summary = run_fgn_ensemble(cfg, level=args.level)
     path = os.path.join(_out_dir(args), "baseline_summary.csv")
     write_summary_csv(summary, path)
@@ -195,6 +217,7 @@ def cmd_baseline(args) -> list:
 
 def cmd_surrogate(args) -> list:
     pair = _load_aligned(args.x_csv, args.y_csv, args.column, args.preprocess)
+    _check_bins(args.bins, pair.common_length)
     summary = run_surrogate_pair(
         pair.x,
         pair.y,

@@ -2,10 +2,14 @@
 
 Replica seeds are derived from (master_seed, stream, index) with a
 splitmix64-style mix, so a replica's result depends only on the config and
-its index. Replicas are built one after another, and each system's networks
-are measured in stacks (metrics.measure_many), which gives the reports of
-measuring them one by one. Aggregation folds them in replica order, so
-summaries are byte-identical for a fixed config.
+its index. Each fGn system is built and measured in stacks: its noises are
+drawn a stack of seeds at a time (synth.fgn_stacks), mapped a stack of
+rows at a time (netmap.map_lagged_rows, map_pair_rows) and measured a
+stack of networks at a time (metrics.measure_many), every array within
+the 512 KB budget of series.stack_size. Surrogate replicas are drawn and
+mapped one by one and measured in stacks. Every stage gives the results of
+building each replica alone, and aggregation folds them in replica order,
+so summaries are byte-identical for a fixed config.
 """
 
 from __future__ import annotations
@@ -20,9 +24,15 @@ from scipy.special import ndtri
 
 from .errors import IoError, MismatchedMeasureSets, ParseError, TooFewSamples
 from .metrics import MEASURE_FIELDS, measure_many
-from .netmap import DEFAULT_BIN_COUNT, CouplingNetwork, map_lagged, map_pair
+from .netmap import (
+    DEFAULT_BIN_COUNT,
+    CouplingNetwork,
+    map_lagged_rows,
+    map_pair,
+    map_pair_rows,
+)
 from .series import AlignedPair, TimeSeries
-from .synth import FgnSpec, generate_fgn, surrogate
+from .synth import fgn_stacks, surrogate
 
 _MASK64 = 2**64 - 1
 
@@ -162,23 +172,25 @@ def run_fgn_ensemble(cfg: EnsembleConfig, level: float = DEFAULT_LEVEL) -> Ensem
     second independent noise per replica (seed streams 2r and 2r + 1).
     """
 
-    def network(h_index: int, replica: int) -> CouplingNetwork:
-        h = cfg.hurst_values[h_index]
+    def networks(h_index: int, h: float):
+        n, bins, replicas = cfg.series_length, cfg.bin_count, cfg.replicas_per_h
+
+        def draws(streams):
+            seeds = [derive_seed(cfg.master_seed, h_index, s) for s in streams]
+            return fgn_stacks(h, n, seeds)
+
         if cfg.coupling == COUPLING_LAG:
-            seed = derive_seed(cfg.master_seed, h_index, replica)
-            series = generate_fgn(FgnSpec(h, cfg.series_length, seed))
-            return map_lagged(series, lag=cfg.lag, bin_count=cfg.bin_count)
-        seed_x = derive_seed(cfg.master_seed, h_index, 2 * replica)
-        seed_y = derive_seed(cfg.master_seed, h_index, 2 * replica + 1)
-        x = generate_fgn(FgnSpec(h, cfg.series_length, seed_x))
-        y = generate_fgn(FgnSpec(h, cfg.series_length, seed_y))
-        return map_pair(AlignedPair(x, y), bin_count=cfg.bin_count)
+            for rows in draws(range(replicas)):
+                yield from map_lagged_rows(rows, cfg.lag, bins)
+        else:
+            xs = draws(range(0, 2 * replicas, 2))
+            ys = draws(range(1, 2 * replicas, 2))
+            for x, y in zip(xs, ys):
+                yield from map_pair_rows(x, y, bins)
 
     systems = {}
     for h_index, h in enumerate(cfg.hurst_values):
-        reports = measure_many(
-            network(h_index, replica) for replica in range(cfg.replicas_per_h)
-        )
+        reports = measure_many(networks(h_index, h))
         systems[fgn_system_name(h)] = _aggregate(reports, level)
     return EnsembleSummary(systems)
 

@@ -46,6 +46,10 @@ class LagTooLarge(CoupleMapError):
     """Lag is >= the series length."""
 
 
+class TooManyBins(CoupleMapError):
+    """Bin count above the samples to map, or beyond physical memory."""
+
+
 class EmptyNetwork(CoupleMapError):
     """Network carries zero samples."""
 

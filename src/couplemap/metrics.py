@@ -5,9 +5,16 @@ Degrees, clustering and path lengths are defined on the binarized graph
 for clustering and paths. Modularity is the only weighted family. Every
 statistic here has a matching brute-force oracle in the test suite.
 
-measure_many measures networks of one bin count together: greedy community
-detection runs once per stack of networks, every other family per network,
-and each report equals measure_all's for that network alone.
+measure_many measures networks of one bin count in stacks of as many as
+keep each stacked (R, B, B) array within 512 KB (series.stack_size; 26 at
+B = 50). Degrees, clustering and greedy community detection run once per
+stack (degree_stats, clustering_stats and detect_communities take a list
+of networks and return one result per network). Paths, assortativity,
+deformation and modularity run per network: stacked, paths and
+assortativity ran slower, and deformation's float64 stacks raised peak
+memory by 1.5 MB on the B = 50 battery to save 1% of its time
+(modularity would need float64 stacks too). Each report equals
+measure_all's for that network alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .errors import (
     NoEdges,
 )
 from .netmap import CouplingNetwork, joint_probability
+from .series import stack_size
 
 #: MeasureReport schema, in report order. The first twenty names are the
 #: radar measures; degree_concentration rides along as the 21st field.
@@ -126,67 +134,100 @@ def deformation_ratio(p: np.ndarray) -> float:
     return (s_main - s_anti) / max(s_main, s_anti)
 
 
-def degree_stats(net: CouplingNetwork) -> DegreeStats:
+def _adjacency(nets, dtype) -> np.ndarray:
+    """(R, B, B) stack of the networks' binarized weights as dtype."""
+    a = np.empty((len(nets), nets[0].bin_count, nets[0].bin_count), dtype=dtype)
+    for k, net in enumerate(nets):
+        np.greater(net.weights, 0, out=a[k])
+    return a
+
+
+def degree_stats(nets) -> list:
     """Unweighted neighbor counts over all B nodes, isolated ones included.
 
-    A self-loop counts once in the out-degree and once in the in-degree of
-    its node. The concentration ratio <k>^2 / <k^2> is 0 for an empty graph.
+    One DegreeStats per network of a list sharing one bin count (ValueError
+    otherwise), computed a stack at a time (see _stacks). A self-loop
+    counts once in the out-degree and once in the in-degree of its node.
+    The concentration ratio <k>^2 / <k^2> is 0 for an empty graph.
     """
-    a = _binarized(net)
-    k_out = a.sum(axis=1)
-    k_in = a.sum(axis=0)
-    k_tot = k_out + k_in
-    mean_tot = float(k_tot.mean())
-    mean_sq_tot = float((k_tot.astype(np.float64) ** 2).mean())
-    concentration = mean_tot**2 / mean_sq_tot if mean_sq_tot > 0 else 0.0
-    return DegreeStats(
-        mean_sq_total=mean_sq_tot,
-        mean_sq_out=float((k_out.astype(np.float64) ** 2).mean()),
-        mean_sq_in=float((k_in.astype(np.float64) ** 2).mean()),
-        mean_total=mean_tot,
-        mean_out=float(k_out.mean()),
-        mean_in=float(k_in.mean()),
-        std_total=float(k_tot.std()),
-        concentration=concentration,
-    )
+    stats = []
+    for stack in _stacks(nets):
+        a = _adjacency(stack, bool)
+        k_out = a.sum(axis=2)
+        k_in = a.sum(axis=1)
+        k_tot = k_out + k_in
+        stats += [
+            DegreeStats(
+                mean_sq_total=sq_tot,
+                mean_sq_out=sq_out,
+                mean_sq_in=sq_in,
+                mean_total=tot,
+                mean_out=out,
+                mean_in=in_,
+                std_total=std,
+                concentration=tot**2 / sq_tot if sq_tot > 0 else 0.0,
+            )
+            for sq_tot, sq_out, sq_in, tot, out, in_, std in zip(
+                (k_tot.astype(np.float64) ** 2).mean(axis=1).tolist(),
+                (k_out.astype(np.float64) ** 2).mean(axis=1).tolist(),
+                (k_in.astype(np.float64) ** 2).mean(axis=1).tolist(),
+                k_tot.mean(axis=1).tolist(),
+                k_out.mean(axis=1).tolist(),
+                k_in.mean(axis=1).tolist(),
+                k_tot.std(axis=1).tolist(),
+            )
+        ]
+    return stats
 
 
-def clustering_stats(net: CouplingNetwork) -> ClusteringStats:
+def clustering_stats(nets) -> list:
     """Triangle-density measures on the loop-free binarized graph.
 
+    One ClusteringStats per network of a list sharing one bin count
+    (ValueError otherwise), computed a stack at a time (see _stacks).
     global_coef is the transitivity of the undirected projection; local
     values are averaged over all B nodes with degree-<2 nodes contributing
     0. The directed local coefficient counts all triangle orientations:
     C_i = [(A + A^T)^3]_ii / (2 [d_i (d_i - 1) - 2 d_bi,i]) with
     d_bi,i = (A^2)_ii the number of reciprocal neighbors.
     """
-    if net.bin_count < 3:
-        raise ValueError("clustering needs at least 3 bins")
-    # float64 so the products go to BLAS; every count stays below 2**53,
-    # so the results are exact integers, as with int64
-    a = _binarized(net).astype(np.float64)
-    np.fill_diagonal(a, 0.0)
+    stats = []
+    for stack in _stacks(nets):
+        n = stack[0].bin_count
+        if n < 3:
+            raise ValueError("clustering needs at least 3 bins")
+        # The products go to BLAS and count walks exactly while every count
+        # stays below the float's 2**24 (float32) or 2**53 (float64); the
+        # largest, [(A + A^T)^3]_ii, is at most 8 B**2. Ratios and means are
+        # taken in float64, as from int64 counts.
+        a = _adjacency(stack, np.float32 if 8 * n * n < 2**24 else np.float64)
+        a[:, np.arange(n), np.arange(n)] = 0
+        s = a + a.transpose(0, 2, 1)
 
-    u = ((a + a.T) > 0).astype(np.float64)
-    deg = u.sum(axis=1)
-    closed = np.einsum("ij,ji->i", u @ u, u)
-    triples = deg * (deg - 1)
-    global_coef = float(closed.sum() / triples.sum()) if triples.sum() > 0 else 0.0
-    local_u = np.divide(closed, triples, out=np.zeros_like(closed), where=triples > 0)
+        u = (s > 0).astype(a.dtype)
+        deg = u.sum(axis=2, dtype=np.float64)
+        closed = np.einsum("kij,kji->ki", u @ u, u).astype(np.float64)
+        triples = deg * (deg - 1)
+        closed_sum, triples_sum = closed.sum(axis=1), triples.sum(axis=1)
+        global_coef = np.divide(
+            closed_sum, triples_sum, out=np.zeros_like(closed_sum), where=triples_sum > 0
+        )
+        local_u = np.divide(closed, triples, out=np.zeros_like(closed), where=triples > 0)
 
-    s = a + a.T
-    s3 = np.einsum("ij,ji->i", s @ s, s)
-    d_tot = a.sum(axis=1) + a.sum(axis=0)
-    d_bi = np.einsum("ij,ji->i", a, a)
-    denom = 2.0 * (d_tot * (d_tot - 1) - 2 * d_bi)
-    local_d = np.divide(s3, denom, out=np.zeros_like(s3), where=denom > 0)
+        s3 = np.einsum("kij,kji->ki", s @ s, s).astype(np.float64)
+        d_tot = a.sum(axis=2, dtype=np.float64) + a.sum(axis=1, dtype=np.float64)
+        d_bi = np.einsum("kij,kji->ki", a, a).astype(np.float64)
+        denom = 2.0 * (d_tot * (d_tot - 1) - 2 * d_bi)
+        local_d = np.divide(s3, denom, out=np.zeros_like(s3), where=denom > 0)
 
-    return ClusteringStats(
-        global_coef=global_coef,
-        std_local=float(local_u.std()),
-        mean_local_undirected=float(local_u.mean()),
-        mean_local_directed=float(local_d.mean()),
-    )
+        stats += map(
+            ClusteringStats,
+            global_coef.tolist(),
+            local_u.std(axis=1).tolist(),
+            local_u.mean(axis=1).tolist(),
+            local_d.mean(axis=1).tolist(),
+        )
+    return stats
 
 
 def _bfs_distance_sums(adj: np.ndarray) -> tuple[int, int]:
@@ -195,7 +236,9 @@ def _bfs_distance_sums(adj: np.ndarray) -> tuple[int, int]:
     Breadth-first search from every source at once: row i of the frontier
     holds the nodes first reached from i at the current distance.
     """
-    a = adj.astype(np.float64)
+    # only > 0 is read, and a positive sum of 0/1 products never rounds
+    # to 0, so float32 keeps every distance exact at any B
+    a = adj.astype(np.float32)
     reach = np.eye(len(adj), dtype=bool)
     frontier = reach
     total = 0
@@ -282,20 +325,19 @@ def assortativity_stats(net: CouplingNetwork) -> AssortStats:
     ok = den_e != 0
     scalar_var = float((((num_e[ok] / den_e[ok]) - scalar_coef) ** 2).sum())
 
-    cats = np.unique(k_tot[np.concatenate([src, dst])])
-    cx = np.searchsorted(cats, x)
-    cy = np.searchsorted(cats, y)
-    n_cats = len(cats)
-    row = np.bincount(cx, minlength=n_cats)
-    col = np.bincount(cy, minlength=n_cats)
-    se = int((cx == cy).sum())
+    # edge counts by source and by target degree value; a degree value
+    # that no endpoint has counts 0, so these are the category sums
+    row = np.bincount(x, minlength=2 * net.bin_count + 1)
+    col = np.bincount(y, minlength=2 * net.bin_count + 1)
+    same = x == y
+    se = int(same.sum())
     sab = int((row * col).sum())
     cnum = m * se - sab
     cden = m * m - sab
     coef = cnum / cden
 
-    se_e = se - (cx == cy)
-    sab_e = sab - col[cx] - row[cy] + (cx == cy)
+    se_e = se - same
+    sab_e = sab - col[x] - row[y] + same
     cnum_e = mp * se_e - sab_e
     cden_e = mp * mp - sab_e
     ok = cden_e != 0
@@ -304,21 +346,21 @@ def assortativity_stats(net: CouplingNetwork) -> AssortStats:
     return AssortStats(coef, coef_var, scalar_coef, scalar_var)
 
 
-# Greedy communities run on stacks of networks that share a bin count B:
-# the next min(left, _STACK_CELLS // B**2) networks, so each of the two
-# stacked arrays, e and gain, holds at most 2**16 float64 cells (512 KB).
-# A stack of fewer than _STACK_MIN networks, or one holding a network of
-# N samples with (2N)**2 >= 2**53 (see _communities_stack), runs one
-# network at a time. Milliseconds per 32 fGn-lag networks, one at a time
-# -> stacked (stack size), 2-CPU host, one thread:
+# Networks are measured in stacks that share a bin count B: the next
+# series.stack_size(B**2) networks (26 at B = 50, 6 at 100, 4 at 128, 1
+# from 182 on), so each stacked (R, B, B) array holds at most 2**16 float64
+# cells (512 KB). Greedy communities run one network at a time in a stack
+# of fewer than _STACK_MIN networks, or one holding a network of N samples
+# with (2N)**2 >= 2**53 (see _communities_stack). Milliseconds per 32
+# fGn-lag networks, one at a time -> stacked (stack size), 2-CPU host, one
+# thread:
 #   B = 50 (26): 37 -> 10    64 (16): 46 -> 14    100 (6): 84 -> 46
 #   128 (4): 117 -> 84    150 (2): 163 -> 171    181 (2): 205 -> 214
 #   50 (3): 40 -> 35    100 (3): 87 -> 75    50 (2): 34 -> 43    50 (1): 37 -> 77
 # Stacks of 2 lose and stacks of 3 win by little, hence the minimum of 4.
-# The two stacked arrays raised the benchmark's peak RSS by 1.6% on the
-# B = 50 battery and 2.1% on the B = 50 fGn pairs, against a 5% bound, so
-# no third (R, B, B) array is kept.
-_STACK_CELLS = 2**16
+# The two stacked community arrays raised the benchmark's peak RSS by 1.6%
+# on the B = 50 battery and 2.1% on the B = 50 fGn pairs, against a 5%
+# bound, so no third (R, B, B) float64 array is kept there.
 _STACK_MIN = 4
 
 
@@ -329,7 +371,7 @@ def _stacks(nets):
     for net in nets:
         if bins is None:
             bins = net.bin_count
-            size = max(1, _STACK_CELLS // (bins * bins))
+            size = stack_size(bins * bins)
         elif net.bin_count != bins:
             raise ValueError(
                 f"networks must share one bin count, got {bins} and {net.bin_count}"
@@ -482,7 +524,7 @@ def detect_communities(nets) -> list:
     by best modularity gain, ties broken by the lexicographically smallest
     pair of community ids (a community's id is its smallest member node).
     Each network gets the labels of the highest-modularity partition it
-    encountered. Networks are taken in stacks (see _STACK_CELLS); the labels
+    encountered. Networks are taken in stacks (see _stacks); the labels
     equal those of running each network alone.
     """
     labels = []
@@ -587,9 +629,9 @@ def measure_all(net: CouplingNetwork) -> MeasureReport:
 def measure_many(nets) -> list:
     """measure_all for each of an iterable of networks sharing one bin count.
 
-    Networks are taken from the iterable one stack at a time and their
-    communities detected together (detect_communities); every report equals
-    measure_all's for that network alone.
+    Networks are taken from the iterable one stack at a time (see _stacks),
+    and each stack's degrees, clustering and communities are measured
+    together; every report equals measure_all's for that network alone.
     """
     reports = []
     for stack in _stacks(nets):
@@ -598,14 +640,20 @@ def measure_many(nets) -> list:
                 raise EmptyNetwork("cannot measure an empty network")
             if net.bin_count < 3:
                 raise ValueError("measure battery needs at least 3 bins")
-        reports += map(_report, stack, detect_communities(stack))
+        reports += map(
+            _report,
+            stack,
+            detect_communities(stack),
+            degree_stats(stack),
+            clustering_stats(stack),
+        )
     return reports
 
 
-def _report(net: CouplingNetwork, labels: np.ndarray) -> MeasureReport:
+def _report(
+    net: CouplingNetwork, labels: np.ndarray, deg: DegreeStats, clu: ClusteringStats
+) -> MeasureReport:
     flags: list[str] = []
-    deg = degree_stats(net)
-    clu = clustering_stats(net)
     r = deformation_ratio(joint_probability(net))
 
     try:

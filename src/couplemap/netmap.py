@@ -4,6 +4,12 @@ Each series is partitioned into B equal-width amplitude bins over its own
 [min, max] range; bin index i of one series and bin index i of the other
 name the same node. Every time step contributes one count to the weight
 matrix W[source bin of x, target bin of y]; equal bins give self-loops.
+
+Mapping works on stacks of rows (map_pair_rows, map_lagged_rows): the rows
+are binned together and their networks counted with one bincount per
+stack of as many B x B count matrices as fit the 512 KB per-array budget
+(series.stack_size; 26 at B = 50). map_pair and map_lagged are the one-row
+case.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyNetwork, IoError, LagTooLarge
-from .series import AlignedPair, TimeSeries
+from .series import AlignedPair, TimeSeries, stack_size
 
 DEFAULT_BIN_COUNT = 50
 
@@ -48,20 +54,48 @@ def bin_indices(values: np.ndarray, bin_count: int) -> np.ndarray:
 
     index = floor(B * (v - min) / (max - min)), clamped so the maximum maps
     to bin B-1. A degenerate range (max == min) puts everything in bin 0.
+    A 2-D array is binned row by row, each row over its own range.
     """
     if bin_count < 2:
         raise ValueError("bin_count must be >= 2")
     values = np.asarray(values, dtype=np.float64)
-    lo, hi = values.min(), values.max()
-    if hi == lo:
-        return np.zeros(len(values), dtype=np.int64)
-    idx = np.floor(bin_count * (values - lo) / (hi - lo)).astype(np.int64)
-    return np.clip(idx, 0, bin_count - 1)
+    lo = values.min(axis=-1, keepdims=True)
+    span = values.max(axis=-1, keepdims=True) - lo
+    scaled = np.divide(
+        bin_count * (values - lo), span, out=np.zeros_like(values), where=span != 0
+    )
+    return np.clip(np.floor(scaled).astype(np.int64), 0, bin_count - 1)
 
 
-def _count_pairs(xi: np.ndarray, yi: np.ndarray, bin_count: int) -> np.ndarray:
-    flat = np.bincount(xi * bin_count + yi, minlength=bin_count * bin_count)
-    return flat.reshape(bin_count, bin_count).astype(np.int64)
+def _networks(xi: np.ndarray, yi: np.ndarray, bin_count: int) -> list:
+    """One network per row pair of bin indices: W[k] counts (xi[k, t], yi[k, t])."""
+    cells = bin_count * bin_count
+    nets = []
+    size = stack_size(cells)
+    for start in range(0, len(xi), size):
+        x, y = xi[start : start + size], yi[start : start + size]
+        offsets = cells * np.arange(len(x))[:, None]
+        flat = np.bincount((offsets + x * bin_count + y).ravel(), minlength=len(x) * cells)
+        weights = flat.reshape(len(x), bin_count, bin_count)
+        nets += [CouplingNetwork(bin_count, w, x.shape[1]) for w in weights]
+    return nets
+
+
+def map_pair_rows(x: np.ndarray, y: np.ndarray, bin_count: int) -> list:
+    """map_pair for each row pair of two (k, N) value stacks, one network each."""
+    if np.shape(x) != np.shape(y):
+        raise ValueError(f"value stacks differ in shape: {np.shape(x)} and {np.shape(y)}")
+    return _networks(bin_indices(x, bin_count), bin_indices(y, bin_count), bin_count)
+
+
+def map_lagged_rows(values: np.ndarray, lag: int, bin_count: int) -> list:
+    """map_lagged for each row of a (k, N) value stack, one network each."""
+    if lag < 1:
+        raise ValueError("lag must be >= 1")
+    if lag >= values.shape[1]:
+        raise LagTooLarge(f"lag {lag} >= series length {values.shape[1]}")
+    idx = bin_indices(values, bin_count)
+    return _networks(idx[:, :-lag], idx[:, lag:], bin_count)
 
 
 def map_pair(pair: AlignedPair, bin_count: int = DEFAULT_BIN_COUNT) -> CouplingNetwork:
@@ -70,10 +104,8 @@ def map_pair(pair: AlignedPair, bin_count: int = DEFAULT_BIN_COUNT) -> CouplingN
     Direction encodes source = x's bin, target = y's bin, so swapping the
     series transposes the weights.
     """
-    xi = bin_indices(pair.x.values, bin_count)
-    yi = bin_indices(pair.y.values, bin_count)
-    w = _count_pairs(xi, yi, bin_count)
-    return CouplingNetwork(bin_count, w, pair.common_length)
+    (net,) = map_pair_rows(pair.x.values[None], pair.y.values[None], bin_count)
+    return net
 
 
 def map_lagged(
@@ -84,13 +116,8 @@ def map_lagged(
     Equivalent to mapping the pair (s[:-lag], s[lag:]), with bins taken from
     the full series range so both slices share node identities.
     """
-    if lag < 1:
-        raise ValueError("lag must be >= 1")
-    if lag >= len(s):
-        raise LagTooLarge(f"lag {lag} >= series length {len(s)}")
-    idx = bin_indices(s.values, bin_count)
-    w = _count_pairs(idx[:-lag], idx[lag:], bin_count)
-    return CouplingNetwork(bin_count, w, len(s) - lag)
+    (net,) = map_lagged_rows(s.values[None], lag, bin_count)
+    return net
 
 
 def joint_probability(net: CouplingNetwork) -> np.ndarray:

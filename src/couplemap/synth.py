@@ -3,9 +3,14 @@
 fGn synthesis uses the Davies-Harte circulant embedding of the
 autocovariance (exact spectral method), whose eigenvalues are non-negative
 for every Hurst exponent and length (Craigmile 2003), so every draw takes
-the same O(N log N) path. Surrogates randomize the phases of the Fourier
-transform while keeping every amplitude bin, so the linear structure
-survives and the distribution Gaussianizes.
+the same O(N log N) path. Draws are made in stacks (fgn_stacks): one
+embedding per (H, N), one batched FFT and one row-wise standardization for
+as many seeds as keep the complex spectrum within the 512 KB per-array
+budget (series.stack_size; 8 rows at N = 2000). generate_fgn is the
+one-seed stack, and each row equals that seed's generate_fgn draw bit for
+bit. Surrogates randomize the phases of the Fourier transform while
+keeping every amplitude bin, so the linear structure survives and the
+distribution Gaussianizes.
 """
 
 from __future__ import annotations
@@ -16,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthTooShort
-from .series import KIND_RAW, TimeSeries, index_series, standardize
+from .series import (
+    KIND_STANDARDIZED,
+    TimeSeries,
+    check_values,
+    index_series,
+    stack_size,
+    standardized_values,
+)
 
 _MAX_SEED = 2**64
 _HURST_BLOCK_SIZES = (8, 16, 32, 64, 128)
@@ -40,11 +52,15 @@ class FgnSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.hurst < 1.0:
-            raise ValueError(f"hurst must lie in (0, 1), got {self.hurst}")
-        if self.length < 16:
-            raise ValueError(f"length must be at least 16, got {self.length}")
+        _check_shape(self.hurst, self.length)
         _check_seed(self.seed)
+
+
+def _check_shape(hurst: float, length: int) -> None:
+    if not 0.0 < hurst < 1.0:
+        raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
+    if length < 16:
+        raise ValueError(f"length must be at least 16, got {length}")
 
 
 def fgn_autocovariance(hurst: float, max_lag: int) -> np.ndarray:
@@ -63,28 +79,51 @@ def _embedding_eigenvalues(acov: np.ndarray) -> np.ndarray:
     return np.fft.rfft(np.concatenate([acov, acov[-2:0:-1]])).real
 
 
-def _circulant_fgn(acov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Exact draw of length n via circulant embedding, from gamma(0..n)."""
-    n = len(acov) - 1
+def _circulant_fgn(eig: np.ndarray, seeds) -> np.ndarray:
+    """Exact draws of length n, one row per seed, via circulant embedding.
+
+    eig holds the embedding's eigenvalues 0..n, clipped at 0.
+    """
+    n = len(eig) - 1
     m = 2 * n
-    eig = np.clip(_embedding_eigenvalues(acov), 0.0, None)
+    # per seed, 2n normals: n + 1 real parts, then n - 1 imaginary parts, the
+    # stream of drawing the two parts one after the other
+    z = np.empty((len(seeds), m))
+    for row, seed in zip(z, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    zr, zi = z[:, : n + 1], z[:, n + 1 :]
 
     # Hermitian complex-Gaussian spectrum: E|y_k|^2 = eig_k, y_{m-k} = conj(y_k).
-    zr = rng.standard_normal(n + 1)
-    zi = rng.standard_normal(n - 1)
-    y = np.empty(m, dtype=np.complex128)
-    y[0] = math.sqrt(eig[0]) * zr[0]
-    y[n] = math.sqrt(eig[n]) * zr[n]
-    y[1:n] = np.sqrt(eig[1:n]) * (zr[1:n] + 1j * zi) / math.sqrt(2.0)
-    y[n + 1 :] = np.conj(y[1:n][::-1])
-    return (np.fft.fft(y) / math.sqrt(m))[:n].real
+    y = np.empty((len(seeds), m), dtype=np.complex128)
+    y[:, 0] = math.sqrt(eig[0]) * zr[:, 0]
+    y[:, n] = math.sqrt(eig[n]) * zr[:, n]
+    y[:, 1:n] = np.sqrt(eig[1:n]) * (zr[:, 1:n] + 1j * zi) / math.sqrt(2.0)
+    y[:, n + 1 :] = np.conj(y[:, n - 1 : 0 : -1])
+    return (np.fft.fft(y)[:, :n] / math.sqrt(m)).real
+
+
+def fgn_stacks(hurst: float, length: int, seeds):
+    """Standardized fGn draws for seeds, yielded as (k, length) stacks.
+
+    Consecutive stacks of k seeds share one embedding; row i is the draw
+    of generate_fgn(FgnSpec(hurst, length, seed_i)), and every row passes
+    the standardized-series checks (finite, mean 0 and std 1 within 1e-9).
+    """
+    _check_shape(hurst, length)
+    seeds = [_check_seed(seed) for seed in seeds]
+    acov = fgn_autocovariance(hurst, length)
+    eig = np.clip(_embedding_eigenvalues(acov), 0.0, None)
+    size = stack_size(4 * length)  # the complex spectrum of 2N per seed
+    for start in range(0, len(seeds), size):
+        values = standardized_values(_circulant_fgn(eig, seeds[start : start + size]))
+        check_values(values, KIND_STANDARDIZED)
+        yield values
 
 
 def generate_fgn(spec: FgnSpec) -> TimeSeries:
     """Draw one fGn realization; output is standardized, timestamps 0..N-1."""
-    acov = fgn_autocovariance(spec.hurst, spec.length)
-    values = _circulant_fgn(acov, np.random.default_rng(spec.seed))
-    return standardize(index_series(values, kind=KIND_RAW))
+    (values,) = fgn_stacks(spec.hurst, spec.length, [spec.seed])
+    return index_series(values[0], kind=KIND_STANDARDIZED)
 
 
 def surrogate(s: TimeSeries, seed: int) -> TimeSeries:

@@ -2,6 +2,7 @@
 
 import http.server
 import json
+import os
 import threading
 
 import numpy as np
@@ -132,6 +133,45 @@ class TestMapLag:
         )
         assert code == 1
         assert stderr.startswith("LagTooLarge:")
+
+
+class TestBinsGuard:
+    """--bins is refused before any B x B array is allocated."""
+
+    @pytest.fixture
+    def no_bincount(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.bincount reached")
+
+        monkeypatch.setattr(np, "bincount", refuse)
+
+    @pytest.mark.parametrize("command", ["map", "map-lag", "surrogate", "baseline"])
+    def test_above_sample_count(self, command, market_csvs, tmp_path, capsys, no_bincount):
+        x, y = market_csvs
+        inputs = {
+            "map": [x, y],
+            "map-lag": [x],
+            "surrogate": [x, y, "--replicas", "2"],
+            "baseline": ["--hurst", "0.5", "--replicas", "2", "--length", "64"],
+        }[command]
+        code, stdout, stderr = run_cli(
+            capsys, command, *inputs, "--bins", "100000", "--out", str(tmp_path / "o")
+        )
+        assert code == 1
+        assert stdout == ""
+        samples = {"map": 239, "map-lag": 248, "surrogate": 239, "baseline": 64}[command]
+        assert stderr == f"TooManyBins:--bins 100000 exceeds the {samples} samples to map\n"
+
+    def test_beyond_physical_memory(self, market_csvs, tmp_path, capsys, monkeypatch, no_bincount):
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        x, y = market_csvs
+        # 8 * 23**2 = 4232 bytes, over the 4096 reported
+        code, stdout, stderr = run_cli(capsys, "map", x, y, "--bins", "23")
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("TooManyBins:--bins 23 needs 4232 bytes")
+        assert stderr.count("\n") == 1
 
 
 class TestBaseline:

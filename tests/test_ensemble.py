@@ -22,6 +22,7 @@ from couplemap import (
     run_surrogate_pair,
     write_summary_csv,
 )
+from couplemap import ensemble
 from couplemap.ensemble import (
     DEFAULT_LEVEL,
     DEFAULT_MASTER_SEED,
@@ -30,7 +31,7 @@ from couplemap.ensemble import (
     _aggregate,
     fgn_system_name,
 )
-from couplemap.metrics import MEASURE_FIELDS, MeasureReport, measure_all
+from couplemap.metrics import MEASURE_FIELDS, MeasureReport, measure_all, measure_many
 from couplemap.netmap import map_lagged, map_pair
 from couplemap.series import AlignedPair, TimeSeries, index_series
 from couplemap.synth import FgnSpec, generate_fgn, surrogate
@@ -203,6 +204,37 @@ class TestRunFgnEnsemble:
         assert summary.row("fgn_h0.5", "mean_k_total").mean == pytest.approx(
             mean, abs=1e-12
         )
+
+    # 27 replicas of N = 2000 take four stacks of draws (8 + 8 + 8 + 3) and
+    # two of networks at B = 50 (26 + 1)
+    @pytest.mark.parametrize("coupling", ["lag", "pair"])
+    def test_stacked_reports_equal_building_each_alone(self, coupling, monkeypatch):
+        captured = []
+
+        def recording(nets):
+            reports = measure_many(nets)
+            captured.append(reports)
+            return reports
+
+        monkeypatch.setattr(ensemble, "measure_many", recording)
+        cfg = EnsembleConfig(
+            hurst_values=(0.3, 0.9), replicas_per_h=27, master_seed=41, coupling=coupling
+        )
+        summary = run_fgn_ensemble(cfg)
+
+        def alone(h_index: int, h: float, r: int) -> MeasureReport:
+            def draw(stream):
+                return generate_fgn(FgnSpec(h, 2000, derive_seed(41, h_index, stream)))
+
+            if coupling == "lag":
+                return measure_all(map_lagged(draw(r), lag=1, bin_count=50))
+            pair = AlignedPair(draw(2 * r), draw(2 * r + 1))
+            return measure_all(map_pair(pair, bin_count=50))
+
+        for h_index, (h, reports) in enumerate(zip(cfg.hurst_values, captured, strict=True)):
+            expected = [alone(h_index, h, r) for r in range(27)]
+            assert [repr(r) for r in reports] == [repr(r) for r in expected]
+            assert summary.rows(fgn_system_name(h)) == _aggregate(expected, DEFAULT_LEVEL)
 
     def test_pair_mode_differs_from_lag_mode(self):
         lag = run_fgn_ensemble(EnsembleConfig(**SMALL))

@@ -22,6 +22,7 @@ from couplemap.metrics import (
     MEASURE_FIELDS,
     TABLE_FIELDS,
     AssortStats,
+    ClusteringStats,
     MeasureReport,
     assortativity_stats,
     clustering_stats,
@@ -143,7 +144,7 @@ class TestDeformationRatio:
 class TestDegreeStats:
     def test_hand_fixture(self):
         net = edges_net(3, [(0, 1), (1, 2), (2, 2)])
-        d = degree_stats(net)
+        d = degree_stats([net])[0]
         assert d.mean_total == 2.0
         assert_close(d.mean_sq_total, 14.0 / 3.0, "mean_sq_total")
         assert_close(d.std_total, math.sqrt(2.0 / 3.0), "std_total")
@@ -152,55 +153,55 @@ class TestDegreeStats:
 
     def test_empty_graph(self):
         net = CouplingNetwork(3, np.zeros((3, 3), dtype=np.int64), 0)
-        d = degree_stats(net)
+        d = degree_stats([net])[0]
         assert d.mean_total == d.std_total == 0.0
         assert d.concentration == 0.0
 
     def test_complete_with_self_loops(self):
         b = 4
         net = net_from(np.ones((b, b), dtype=np.int64))
-        d = degree_stats(net)
+        d = degree_stats([net])[0]
         assert d.mean_out == d.mean_in == b
         assert d.std_total == 0.0
         assert d.concentration == 1.0
 
     def test_self_loop_counts_once_per_direction(self):
         net = edges_net(3, [(1, 1)])
-        d = degree_stats(net)
+        d = degree_stats([net])[0]
         assert d.mean_out == d.mean_in == pytest.approx(1.0 / 3.0)
         assert d.mean_total == pytest.approx(2.0 / 3.0)
 
     def test_out_in_identity(self, rng):
         # every edge contributes one source and one target endpoint
         for _ in range(30):
-            d = degree_stats(net_from(random_weights(rng)))
+            d = degree_stats([net_from(random_weights(rng))])[0]
             assert d.mean_out == d.mean_in
             assert_close(d.mean_total, d.mean_out + d.mean_in, "mean_total")
 
     def test_concentration_bounds(self, rng):
         for _ in range(30):
-            d = degree_stats(net_from(random_weights(rng)))
+            d = degree_stats([net_from(random_weights(rng))])[0]
             assert 0.0 < d.concentration <= 1.0
 
 
 class TestClusteringStats:
     def test_undirected_triangle(self):
         net = edges_net(3, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)])
-        c = clustering_stats(net)
+        c = clustering_stats([net])[0]
         assert c.global_coef == 1.0
         assert c.mean_local_undirected == 1.0
         assert c.std_local == 0.0
 
     def test_directed_three_cycle(self):
         net = edges_net(3, [(0, 1), (1, 2), (2, 0)])
-        c = clustering_stats(net)
+        c = clustering_stats([net])[0]
         # each node: numerator 2, denominator 2*(2*1 - 0) = 4
         assert c.mean_local_directed == pytest.approx(0.5)
         assert c.global_coef == 1.0
 
     def test_path_graph_no_triangles(self):
         net = edges_net(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
-        c = clustering_stats(net)
+        c = clustering_stats([net])[0]
         assert c.global_coef == 0.0
         assert c.mean_local_undirected == 0.0
         assert c.mean_local_directed == 0.0
@@ -209,15 +210,36 @@ class TestClusteringStats:
     def test_self_loops_ignored(self):
         with_loops = edges_net(3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1)])
         without = edges_net(3, [(0, 1), (1, 2), (2, 0)])
-        assert clustering_stats(with_loops) == clustering_stats(without)
+        assert clustering_stats([with_loops])[0] == clustering_stats([without])[0]
+
+    def test_counts_exact_past_float32(self):
+        # at B = 1600 this graph's [(A + A^T)^3]_ii exceed 2**24, past which
+        # float32 products would round them; the reference counts in float64
+        rng = np.random.default_rng(1)
+        w = (rng.random((1600, 1600)) < 0.97).astype(np.int64)
+        a = (w > 0).astype(np.float64)
+        np.fill_diagonal(a, 0.0)
+        s = a + a.T
+        u = (s > 0).astype(np.float64)
+        closed = np.einsum("ij,ji->i", u @ u, u)
+        deg = u.sum(axis=1)
+        triples = deg * (deg - 1)
+        local_u = closed / triples
+        s3 = np.einsum("ij,ji->i", s @ s, s)
+        assert s3.max() > 2**24
+        d_tot = a.sum(axis=1) + a.sum(axis=0)
+        d_bi = np.einsum("ij,ji->i", a, a)
+        local_d = s3 / (2.0 * (d_tot * (d_tot - 1) - 2 * d_bi))
+        expected = (closed.sum() / triples.sum(), local_u.std(), local_u.mean(), local_d.mean())
+        assert clustering_stats([net_from(w)])[0] == ClusteringStats(*map(float, expected))
 
     def test_requires_three_bins(self):
         with pytest.raises(ValueError):
-            clustering_stats(net_from([[1, 1], [0, 1]]))
+            clustering_stats([net_from([[1, 1], [0, 1]])])
 
     def test_bounds(self, rng):
         for _ in range(30):
-            c = clustering_stats(net_from(random_weights(rng)))
+            c = clustering_stats([net_from(random_weights(rng))])[0]
             assert 0.0 <= c.global_coef <= 1.0
             assert 0.0 <= c.mean_local_undirected <= 1.0
             assert 0.0 <= c.mean_local_directed <= 1.0
@@ -484,8 +506,9 @@ class TestMeasureMany:
         other = net_from(measured_weights(kind, bins + 1))
         with pytest.raises(ValueError, match="bin count"):
             measure_many(nets[:2] + [other])
-        with pytest.raises(ValueError, match="bin count"):
-            detect_communities([nets[0], other])
+        for family in (detect_communities, degree_stats, clustering_stats):
+            with pytest.raises(ValueError, match="bin count"):
+                family([nets[0], other])
 
 
 class TestTransposeBehavior:
@@ -562,7 +585,8 @@ class TestOracleEquivalence:
 
 
 class TestNetworkxDifferential:
-    """Clustering, path means and modularity against networkx on measured networks."""
+    """Clustering, path means, assortativity and modularity against networkx
+    on measured networks."""
 
     @pytest.mark.parametrize("kind", ["fgn-lag", "surrogate"])
     @pytest.mark.parametrize("bins", [50, 200])
@@ -631,4 +655,34 @@ class TestNetworkxDifferential:
             report.modularity_out_degree,
             nx.community.modularity(directed, communities),
             "modularity_out_degree",
+        )
+
+    @pytest.mark.parametrize("kind", ["fgn-lag", "surrogate", "fgn-pair"])
+    @pytest.mark.parametrize("bins", [50, 200])
+    def test_assortativity(self, kind, bins):
+        nx = pytest.importorskip("networkx")
+        w = measured_weights(kind, bins)
+        edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(w))]
+        directed = nx.DiGraph()
+        directed.add_nodes_from(range(bins))
+        directed.add_edges_from(edges)
+        # networkx counts a self-loop once in the in- and once in the
+        # out-degree, as the total degree here does
+        degree = dict(directed.degree())
+        nx.set_node_attributes(directed, degree, "k")
+        both = nx.MultiDiGraph()
+        both.add_nodes_from(range(bins))
+        both.add_edges_from(edges + [(j, i) for i, j in edges])
+        nx.set_node_attributes(both, degree, "k")
+
+        report = measure_all(net_from(w))
+        assert_close(
+            report.assort_coef,
+            nx.attribute_assortativity_coefficient(directed, "k"),
+            "assort_coef",
+        )
+        assert_close(
+            report.scalar_assort_coef,
+            nx.numeric_assortativity_coefficient(both, "k"),
+            "scalar_assort_coef",
         )

@@ -16,6 +16,8 @@ from couplemap import (
 )
 from couplemap.netmap import (
     bin_indices,
+    map_lagged_rows,
+    map_pair_rows,
     write_adjacency_tsv,
     write_edge_list_csv,
     write_joint_tsv,
@@ -194,6 +196,37 @@ class TestMapLagged:
             manual[i, j] += 1
         assert np.array_equal(net.weights, manual)
         assert net.sample_count == len(values) - lag
+
+
+class TestRowStacks:
+    # 26 count matrices of B = 50 fit one stack and 2 of B = 181, so 27 and
+    # 3 rows cross a stack boundary
+    @pytest.mark.parametrize("bins, rows", [(50, 27), (181, 3)])
+    def test_rows_equal_one_by_one(self, rng, bins, rows):
+        x = rng.normal(size=(rows, 400))
+        y = rng.standard_t(3, size=(rows, 400))
+        x[1] = 2.5  # a constant row puts every value in bin 0
+        lagged = map_lagged_rows(x, 2, bins)
+        paired = map_pair_rows(x, y, bins)
+        assert len(lagged) == len(paired) == rows
+        for k in range(rows):
+            one = map_lagged(index_series(x[k]), lag=2, bin_count=bins)
+            assert np.array_equal(lagged[k].weights, one.weights)
+            assert lagged[k].sample_count == one.sample_count == 398
+            one = map_pair(pair_of(x[k], y[k]), bin_count=bins)
+            assert np.array_equal(paired[k].weights, one.weights)
+            assert paired[k].sample_count == one.sample_count == 400
+        assert lagged[1].weights[0, 0] == 398
+
+    def test_rows_shapes_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            map_pair_rows(np.zeros((2, 5)), np.zeros((2, 1)), 3)
+
+    def test_rows_lag_checked(self):
+        with pytest.raises(LagTooLarge):
+            map_lagged_rows(np.zeros((2, 5)), 5, 3)
+        with pytest.raises(ValueError):
+            map_lagged_rows(np.zeros((2, 5)), 0, 3)
 
 
 class TestJointProbability:

@@ -14,7 +14,24 @@ from couplemap import (
     surrogate,
 )
 from couplemap.series import KIND_STANDARDIZED, index_series
-from couplemap.synth import _circulant_fgn, _embedding_eigenvalues
+from couplemap.synth import _circulant_fgn, _embedding_eigenvalues, fgn_stacks
+
+
+def one_draw(hurst: float, n: int, seed: int) -> np.ndarray:
+    """Reference draw: one embedding, FFT and standardization per seed."""
+    eig = np.clip(_embedding_eigenvalues(fgn_autocovariance(hurst, n)), 0.0, None)
+    rng = np.random.default_rng(seed)
+    zr = rng.standard_normal(n + 1)
+    zi = rng.standard_normal(n - 1)
+    y = np.empty(2 * n, dtype=np.complex128)
+    y[0] = math.sqrt(eig[0]) * zr[0]
+    y[n] = math.sqrt(eig[n]) * zr[n]
+    y[1:n] = np.sqrt(eig[1:n]) * (zr[1:n] + 1j * zi) / math.sqrt(2.0)
+    y[n + 1 :] = np.conj(y[1:n][::-1])
+    v = (np.fft.fft(y) / math.sqrt(2 * n))[:n].real
+    v = (v - v.mean()) / v.std()
+    v -= v.mean()
+    return v
 
 
 def sample_acf(values: np.ndarray, lag: int) -> float:
@@ -69,6 +86,25 @@ class TestGenerateFgn:
         assert list(a.timestamps[:3]) == [0, 1, 2]
         assert abs(a.values.mean()) < 1e-12
         assert abs(a.values.std() - 1.0) < 1e-12
+
+    # at N = 2000 a stack holds 8 draws, so 9 seeds take two stacks
+    @pytest.mark.parametrize("count, sizes", [(1, [1]), (8, [8]), (9, [8, 1])])
+    @pytest.mark.parametrize("hurst", [0.1, 0.5, 0.99])
+    def test_stacked_draws_equal_one_by_one(self, hurst, count, sizes):
+        seeds = [2**63 + 977 * r for r in range(count)]
+        stacks = list(fgn_stacks(hurst, 2000, seeds))
+        assert [len(stack) for stack in stacks] == sizes
+        for row, seed in zip(np.concatenate(stacks), seeds):
+            assert row.tobytes() == one_draw(hurst, 2000, seed).tobytes()
+            assert row.tobytes() == generate_fgn(FgnSpec(hurst, 2000, seed)).values.tobytes()
+
+    def test_stacked_draws_checked(self):
+        with pytest.raises(ValueError):
+            next(fgn_stacks(0.5, 2000, [2**64]))
+        with pytest.raises(ValueError):
+            next(fgn_stacks(1.0, 2000, [1]))
+        with pytest.raises(ValueError):
+            next(fgn_stacks(0.5, 8, [1]))
 
     def test_distinct_seeds_differ(self):
         a = generate_fgn(FgnSpec(0.7, 256, 1))
@@ -129,9 +165,9 @@ class TestGenerateFgn:
                 assert eig.min() >= 0.0, (h, n)
 
     def test_circulant_matches_requested_length(self):
-        acov = fgn_autocovariance(0.6, 100)
-        out = _circulant_fgn(acov, np.random.default_rng(0))
-        assert out.shape == (100,)
+        eig = np.clip(_embedding_eigenvalues(fgn_autocovariance(0.6, 100)), 0.0, None)
+        out = _circulant_fgn(eig, [0, 1, 2])
+        assert out.shape == (3, 100)
 
 
 class TestSurrogate:
