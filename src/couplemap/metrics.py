@@ -15,10 +15,17 @@ assortativity ran slower, and deformation's float64 stacks raised peak
 memory by 1.5 MB on the B = 50 battery to save 1% of its time
 (modularity would need float64 stacks too). Each report equals
 measure_all's for that network alone, bit for bit.
+
+A network measured alone (a stack of fewer than _STACK_MIN, so every
+network above B = 128) has its communities detected by _communities_one:
+it merges occupied bins only, stops at the last positive-gain merge and
+drops merged-away rows once half are dead, with the labels of the full
+greedy run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -108,6 +115,17 @@ def _binarized(net: CouplingNetwork) -> np.ndarray:
     return net.weights > 0
 
 
+@functools.lru_cache(maxsize=4)
+def _diagonal_coordinates(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (n, n) coordinates u = (i + j) / sqrt(2), v = (i - j) / sqrt(2)."""
+    idx = np.arange(n, dtype=np.float64)
+    u = (idx[:, None] + idx[None, :]) / math.sqrt(2.0)
+    v = (idx[:, None] - idx[None, :]) / math.sqrt(2.0)
+    u.setflags(write=False)
+    v.setflags(write=False)
+    return u, v
+
+
 def deformation_ratio(p: np.ndarray) -> float:
     """Normalized spread difference along the two diagonals.
 
@@ -121,11 +139,7 @@ def deformation_ratio(p: np.ndarray) -> float:
     p = np.asarray(p, dtype=np.float64)
     if not np.any(p > 0):
         raise EmptyDistribution("joint probability has no positive cell")
-    idx = np.arange(len(p), dtype=np.float64)
-    ii = idx[:, None]
-    jj = idx[None, :]
-    u = (ii + jj) / math.sqrt(2.0)
-    v = (ii - jj) / math.sqrt(2.0)
+    u, v = _diagonal_coordinates(len(p))
     var_main = max(float((p * u * u).sum() - (p * u).sum() ** 2), 0.0)
     var_anti = max(float((p * v * v).sum() - (p * v).sum() ** 2), 0.0)
     s_main, s_anti = math.sqrt(var_main), math.sqrt(var_anti)
@@ -360,7 +374,12 @@ def assortativity_stats(net: CouplingNetwork) -> AssortStats:
 # Stacks of 2 lose and stacks of 3 win by little, hence the minimum of 4.
 # The two stacked community arrays raised the benchmark's peak RSS by 1.6%
 # on the B = 50 battery and 2.1% on the B = 50 fGn pairs, against a 5%
-# bound, so no third (R, B, B) float64 array is kept there.
+# bound, so no third (R, B, B) float64 array is kept there. The one-at-a-
+# time figures above predate _communities_one's occupied bins, early stop
+# and compaction; with them, one at a time -> stacked per 32 networks is
+#   B = 50 (26): 27 -> 11    64 (16): 35 -> 16    100 (6): 58 -> 56
+#   128 (4): 74 -> 92
+# so the minimum of 4 is no longer tuned at B = 128.
 _STACK_MIN = 4
 
 
@@ -385,45 +404,89 @@ def _stacks(nets):
 
 
 def _communities_one(net: CouplingNetwork) -> np.ndarray:
-    """detect_communities for one network."""
+    """detect_communities for one network.
+
+    The merge order and every float of _communities_stack's scheme, one
+    network at a time, with the rows cut down to what can still merge:
+
+    - Only occupied nodes (tot > 0) take part. An empty node's gain with
+      any node is exactly 0, so it never makes a positive merge, and it
+      ends as its own singleton. The initial q is taken on the full arrays
+      first: summing fewer zeros would change the pairwise-summation order.
+    - The loop stops at the first best gain <= 0, for the reason given in
+      _communities_stack: no later partition would be recorded.
+    - A merged-away community b gets column b of e set to -inf, so every
+      later recomputed row reads -inf there (tot stays finite, so this
+      holds for empty communities too). Once half the rows are dead, one
+      np.ix_ copy drops them, keeping the live ids in order.
+
+    Where (2N)**2 >= 2**53 a computed gain may have the wrong sign, so
+    every node is kept and all merges run, as the exhaustive greedy does.
+    """
     e = (net.weights + net.weights.T).astype(np.float64)
     two_m = e.sum()
+    tm2 = two_m * two_m
     tot = e.sum(axis=1)
-    n = net.bin_count
-
-    labels = np.arange(n, dtype=np.int64)
-    best_labels = labels.copy()
     q = float(np.trace(e) / two_m - ((tot / two_m) ** 2).sum())
     best_q = q
 
-    # gain[i, j] for live communities i < j, -inf elsewhere; community i
-    # keeps row and column i, so the first maximum in row-major order is
-    # the lexicographically smallest best pair
-    gain = 2.0 * (e / two_m - np.outer(tot, tot) / (two_m * two_m))
-    gain[np.tril_indices(n)] = -np.inf
-    live = np.ones(n, dtype=bool)
+    exact = (2 * net.sample_count) ** 2 < 2**53
+    ids = np.flatnonzero(tot > 0) if exact else np.arange(net.bin_count)
+    e = e[np.ix_(ids, ids)]
+    tot = tot[ids]
+    ids = ids.tolist()
+    # symmetric gain with a -inf diagonal, as in _communities_stack
+    gain = 2.0 * (e / two_m - np.outer(tot, tot) / tm2)
+    np.fill_diagonal(gain, -np.inf)
+    live = np.ones(len(ids), dtype=bool)
+    dead = 0
 
-    for _ in range(n - 1):
-        a, b = divmod(int(np.argmax(gain)), n)
+    history = []  # merged (id a, id b), in order
+    best_step = 0
+    for step in range(1, len(ids)):
+        n = len(live)
+        a, b = divmod(int(gain.argmax()), n)
         top = gain[a, b]
+        if exact and top <= 0:
+            break
 
-        e[a, :] += e[b, :]
-        e[:, a] += e[:, b]
-        tot[a] += tot[b]
-        labels[labels == b] = a
-        live[b] = False
-        gain[b, :] = -np.inf
+        ea = e[a]
+        ea += e[b]
+        e[:, b] = -np.inf
+        e[:, a] = ea
+        ta = tot[a] + tot[b]
+        tot[a] = ta
+        row = ea / two_m
+        row -= ta * tot / tm2
+        row *= 2.0
+        gain[a] = row
+        gain[:, a] = row
+        gain[a, a] = -np.inf
+        gain[b] = -np.inf
         gain[:, b] = -np.inf
-        row = 2.0 * (e[a] / two_m - tot[a] * tot / (two_m * two_m))
-        row[~live] = -np.inf
-        gain[a, a + 1 :] = row[a + 1 :]
-        gain[:a, a] = row[:a]
+        history.append((ids[a], ids[b]))
 
         q += top
         if q > best_q + 1e-15:
             best_q = q
-            best_labels = labels.copy()
-    return best_labels
+            best_step = step
+
+        live[b] = False
+        dead += 1
+        if 2 * dead >= n:
+            keep = np.flatnonzero(live)
+            e = e[np.ix_(keep, keep)]
+            gain = gain[np.ix_(keep, keep)]
+            tot = tot[keep]
+            ids = [ids[i] for i in keep]
+            live = live[keep]
+            dead = 0
+
+    # walking back, each merged-away id takes its survivor's final label
+    labels = list(range(net.bin_count))
+    for a, b in reversed(history[:best_step]):
+        labels[b] = labels[a]
+    return np.array(labels, dtype=np.int64)
 
 
 def _communities_stack(nets) -> list:
@@ -435,7 +498,7 @@ def _communities_stack(nets) -> list:
     argmax over each network's B**2 cells keeps _communities_one's tie-break.
 
     Only positive-gain pairs are merged, and a network stops when it has
-    none. _communities_one goes on merging, but never again records a
+    none. The full greedy run goes on merging, but never again records a
     partition: the exact gain of a merged pair is the sum of its parts'
     gains, so once every exact gain is <= 0 none becomes positive again.
     A computed gain has the sign of the exact one while (2N)**2 < 2**53

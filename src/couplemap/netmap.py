@@ -131,8 +131,8 @@ def write_adjacency_tsv(net: CouplingNetwork, path) -> None:
     """Dense B x B integer matrix, one tab-separated row per source bin."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for row in net.weights:
-                fh.write("\t".join(str(int(v)) for v in row) + "\n")
+            for row in net.weights.tolist():
+                fh.write("\t".join(map(str, row)) + "\n")
     except OSError as exc:
         raise IoError(str(path)) from exc
 
@@ -154,7 +154,7 @@ def write_joint_tsv(p: np.ndarray, path) -> None:
     """Dense B x B probability matrix in the adjacency layout."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for row in p:
-                fh.write("\t".join(repr(float(v)) for v in row) + "\n")
+            for row in np.asarray(p, dtype=np.float64).tolist():
+                fh.write("\t".join(map(repr, row)) + "\n")
     except OSError as exc:
         raise IoError(str(path)) from exc

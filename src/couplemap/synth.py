@@ -1,4 +1,4 @@
-"""Fractional Gaussian noise, Fourier surrogates, Hurst estimation.
+"""Fractional Gaussian noise and Fourier surrogates.
 
 fGn synthesis uses the Davies-Harte circulant embedding of the
 autocovariance (exact spectral method), whose eigenvalues are non-negative
@@ -31,8 +31,6 @@ from .series import (
 )
 
 _MAX_SEED = 2**64
-_HURST_BLOCK_SIZES = (8, 16, 32, 64, 128)
-_MIN_HURST_LENGTH = 2 * _HURST_BLOCK_SIZES[-1]
 
 
 def _check_seed(seed: int) -> int:
@@ -145,24 +143,3 @@ def surrogate(s: TimeSeries, seed: int) -> TimeSeries:
     coeffs[1:hi] = np.abs(coeffs[1:hi]) * np.exp(1j * eta)
     values = np.fft.irfft(coeffs, n=n)
     return TimeSeries(s.timestamps.copy(), values, kind=s.kind)
-
-
-def estimate_hurst(s: TimeSeries) -> float:
-    """Aggregated-variance Hurst estimate.
-
-    Splits the series into blocks of size m in {8,16,32,64,128}, regresses
-    log Var(block means) on log m, and returns 1 + slope/2. A validation
-    tool for generate_fgn, not part of the mapping pipeline.
-    """
-    n = len(s)
-    if n < _MIN_HURST_LENGTH:
-        raise LengthTooShort(
-            f"hurst estimation needs at least {_MIN_HURST_LENGTH} points, got {n}"
-        )
-    log_var = []
-    for m in _HURST_BLOCK_SIZES:
-        blocks = n // m
-        means = s.values[: blocks * m].reshape(blocks, m).mean(axis=1)
-        log_var.append(math.log(means.var(ddof=1)))
-    slope = np.polyfit(np.log(_HURST_BLOCK_SIZES), log_var, 1)[0]
-    return float(1.0 + slope / 2.0)

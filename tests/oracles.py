@@ -4,11 +4,14 @@ Everything here recomputes the library's statistics from their definitions
 with loops, fsum and exact rationals; no numpy. The community-detection
 oracle replays the greedy agglomeration step by step with the same float
 arithmetic, since the partition search is defined by the algorithm itself.
+estimate_hurst checks generated noise against its Hurst exponent.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations
+
+from couplemap.errors import LengthTooShort
 
 INF = float("inf")
 
@@ -378,3 +381,34 @@ def oracle_measure_all(w, sample_count):
     report["sample_count"] = sample_count
     report["flags"] = tuple(sorted(set(flags)))
     return report
+
+
+HURST_BLOCK_SIZES = (8, 16, 32, 64, 128)
+
+
+def estimate_hurst(values):
+    """Aggregated-variance Hurst estimate of a series' values.
+
+    Splits the series into blocks of size m in HURST_BLOCK_SIZES, fits
+    log Var(block means) (sample variance) against log m by least squares,
+    and returns 1 + slope / 2.
+    """
+    values = [float(v) for v in values]
+    n = len(values)
+    if n < 2 * HURST_BLOCK_SIZES[-1]:
+        raise LengthTooShort(
+            f"hurst estimation needs at least {2 * HURST_BLOCK_SIZES[-1]} points, got {n}"
+        )
+    xs, ys = [], []
+    for m in HURST_BLOCK_SIZES:
+        means = [math.fsum(values[i : i + m]) / m for i in range(0, n - m + 1, m)]
+        mu = math.fsum(means) / len(means)
+        var = math.fsum((v - mu) ** 2 for v in means) / (len(means) - 1)
+        xs.append(math.log(m))
+        ys.append(math.log(var))
+    x_bar = math.fsum(xs) / len(xs)
+    y_bar = math.fsum(ys) / len(ys)
+    slope = math.fsum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)) / math.fsum(
+        (x - x_bar) ** 2 for x in xs
+    )
+    return 1.0 + slope / 2.0

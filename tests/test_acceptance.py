@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import kurtosis, skew, spearmanr
 
+import oracles
 from conftest import random_weights, special_weight_matrices
 from couplemap.ensemble import (
     COUPLING_PAIR,
@@ -28,7 +29,6 @@ from couplemap.netmap import map_pair
 from couplemap.series import AlignedPair, align_pair, index_series, load_csv, prepare, write_csv
 from couplemap.synth import (
     FgnSpec,
-    estimate_hurst,
     fgn_autocovariance,
     generate_fgn,
     surrogate,
@@ -89,7 +89,7 @@ def test_criterion_2_fgn_fidelity():
         pooled = np.zeros(5)
         for seed in range(20):
             series = generate_fgn(FgnSpec(h, n, seed))
-            estimates.append(estimate_hurst(series))
+            estimates.append(oracles.estimate_hurst(series.values))
             v = series.values
             for lag in range(1, 6):
                 pooled[lag - 1] += (v[:-lag] * v[lag:]).sum() / (n - lag)

@@ -57,8 +57,18 @@ def measured_weights(kind: str, bins: int, seed: int = 11) -> np.ndarray:
 
     ``fgn-lag`` maps one H = 0.9 noise against its own lag 1; ``surrogate``
     maps Fourier surrogates of two independent H = 0.9 noises; ``fgn-pair``
-    maps two independent H = 0.95 noises against each other.
+    maps two independent H = 0.95 noises against each other; ``student-t``
+    maps a Student-t(3) pair with correlation 0.5 (correlated normals times
+    one shared sqrt(3 / chi2_3)), whose heavy tails leave many bins empty
+    (96 of 200 at seed 11).
     """
+    if kind == "student-t":
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((2, 2000))
+        z[1] = 0.5 * z[0] + math.sqrt(0.75) * z[1]
+        t = z * np.sqrt(3.0 / rng.chisquare(3, 2000))
+        pair = AlignedPair(index_series(t[0]), index_series(t[1]))
+        return map_pair(pair, bin_count=bins).weights
     if kind == "fgn-pair":
         x = generate_fgn(FgnSpec(0.95, 2000, seed))
         y = generate_fgn(FgnSpec(0.95, 2000, seed + 1))
@@ -409,6 +419,7 @@ class TestCommunities:
         "kind, bins, count",
         [
             pytest.param("fgn-lag", 200, 1, id="fgn-lag-200"),
+            pytest.param("student-t", 200, 1, id="student-t-200-empty-bins"),
             pytest.param("fgn-lag", 50, 4, id="fgn-lag-50-stack-of-4"),
         ],
     )
@@ -417,6 +428,22 @@ class TestCommunities:
         labels = detect_communities([net_from(w) for w in weights])
         for w, got in zip(weights, labels, strict=True):
             assert list(got) == oracles.oracle_detect_communities(w.tolist())
+
+    @pytest.mark.parametrize("scale", [1, 30_000_000], ids=["exact-gains", "huge-weights"])
+    def test_oracle_labels_with_empty_bins(self, rng, scale):
+        # Tied 0-2 weights on a random subset of the bins. Scaled by 3e7 the
+        # weights sum past 4.7e7, so (2N)**2 >= 2**53: computed gains may
+        # take the wrong sign, and every node and merge must be kept.
+        for _ in range(60):
+            b = int(rng.integers(3, 13))
+            occupied = np.sort(rng.choice(b, int(rng.integers(2, b + 1)), replace=False))
+            w = np.zeros((b, b), dtype=np.int64)
+            w[np.ix_(occupied, occupied)] = rng.integers(0, 3, (len(occupied),) * 2)
+            w[occupied[0], occupied[1]] += 2
+            net = net_from(w * scale)
+            assert ((2 * net.sample_count) ** 2 >= 2**53) == (scale > 1)
+            got = detect_communities([net])[0]
+            assert list(got) == oracles.oracle_detect_communities((w * scale).tolist())
 
 
 class TestModularity:
