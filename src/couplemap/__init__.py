@@ -3,15 +3,14 @@
 Pipeline: load or synthesize series, bin amplitudes, count simultaneous
 bin visits as weighted directed edges, then compare the resulting network
 measures against fractional-Gaussian-noise and phase-randomized baselines.
+
+The names below are the ones the pipeline's users call, plus the error
+kinds; everything else (the measure families, seeds, intervals, fGn
+internals) is imported from its submodule.
 """
 
 from .ensemble import (
-    ComparisonReport,
     EnsembleConfig,
-    EnsembleSummary,
-    SummaryRow,
-    confidence_interval,
-    derive_seed,
     radar_normalize,
     read_summary_csv,
     run_fgn_ensemble,
@@ -31,7 +30,6 @@ from .errors import (
     LagTooLarge,
     LengthTooShort,
     MismatchedMeasureSets,
-    NetworkError,
     NoEdges,
     NonPositiveValue,
     ParseError,
@@ -40,28 +38,9 @@ from .errors import (
     WrongKind,
     ZeroVariance,
 )
-from .metrics import (
-    MEASURE_FIELDS,
-    TABLE_FIELDS,
-    AssortStats,
-    ClusteringStats,
-    DegreeStats,
-    MeasureReport,
-    ModularityStats,
-    PathStats,
-    assortativity_stats,
-    clustering_stats,
-    deformation_ratio,
-    degree_stats,
-    detect_communities,
-    measure_all,
-    modularity_stats,
-    path_stats,
-)
+from .metrics import MEASURE_FIELDS, MeasureReport, measure_all
 from .netmap import (
     DEFAULT_BIN_COUNT,
-    CouplingNetwork,
-    bin_indices,
     joint_probability,
     map_lagged,
     map_pair,
@@ -70,88 +49,49 @@ from .netmap import (
     write_joint_tsv,
 )
 from .series import (
-    KIND_LOG_RETURN,
-    KIND_RAW,
-    KIND_STANDARDIZED,
     AlignedPair,
-    TimeSeries,
     align_pair,
     index_series,
     load_csv,
-    log_returns,
     prepare,
     standardize,
     write_csv,
 )
-from .synth import (
-    FgnSpec,
-    fgn_autocovariance,
-    generate_fgn,
-    surrogate,
-)
+from .synth import surrogate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlignedPair",
-    "AssortStats",
-    "ClusteringStats",
-    "ComparisonReport",
     "CoupleMapError",
-    "CouplingNetwork",
-    "DegenerateDegrees",
     "DEFAULT_BIN_COUNT",
-    "DegreeStats",
+    "DegenerateDegrees",
     "DuplicateTimestamp",
     "EmptyDistribution",
     "EmptyIntersection",
     "EmptyNetwork",
     "EnsembleConfig",
-    "EnsembleSummary",
-    "FgnSpec",
     "InvalidPartition",
     "IoError",
-    "KIND_LOG_RETURN",
-    "KIND_RAW",
-    "KIND_STANDARDIZED",
     "LagTooLarge",
     "LengthTooShort",
     "MEASURE_FIELDS",
     "MeasureReport",
     "MismatchedMeasureSets",
-    "ModularityStats",
-    "NetworkError",
     "NoEdges",
     "NonPositiveValue",
     "ParseError",
-    "PathStats",
-    "SummaryRow",
-    "TABLE_FIELDS",
-    "TimeSeries",
     "TooFewSamples",
     "TooManyBins",
     "WrongKind",
     "ZeroVariance",
     "align_pair",
-    "assortativity_stats",
-    "bin_indices",
-    "clustering_stats",
-    "confidence_interval",
-    "deformation_ratio",
-    "degree_stats",
-    "derive_seed",
-    "detect_communities",
-    "fgn_autocovariance",
-    "generate_fgn",
     "index_series",
     "joint_probability",
     "load_csv",
-    "log_returns",
     "map_lagged",
     "map_pair",
     "measure_all",
-    "modularity_stats",
-    "path_stats",
     "prepare",
     "radar_normalize",
     "read_summary_csv",

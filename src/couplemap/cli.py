@@ -1,4 +1,4 @@
-"""Command-line surface: fetch, map, map-lag, baseline, surrogate, compare.
+"""Command-line surface: map, map-lag, baseline, surrogate, compare.
 
 Every subcommand validates numeric flags against the owning module's
 preconditions before any work starts (--bins against the number of samples
@@ -13,9 +13,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
-import urllib.error
-import urllib.request
 
 from .ensemble import (
     DEFAULT_LAG,
@@ -31,7 +28,7 @@ from .ensemble import (
     write_comparison_json,
     write_summary_csv,
 )
-from .errors import CoupleMapError, IoError, NetworkError, ParseError, TooManyBins
+from .errors import CoupleMapError, IoError, ParseError, TooManyBins
 from .metrics import MeasureReport, measure_all
 from .netmap import (
     DEFAULT_BIN_COUNT,
@@ -42,7 +39,7 @@ from .netmap import (
     write_edge_list_csv,
     write_joint_tsv,
 )
-from .series import AlignedPair, align_pair, load_csv, prepare, write_csv
+from .series import AlignedPair, align_pair, load_csv, prepare
 
 _HURST_DEFAULT = "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"
 
@@ -153,29 +150,6 @@ def _write_report_json(report: MeasureReport, path: str) -> None:
         raise IoError(str(exc)) from exc
 
 
-def cmd_fetch(args) -> list:
-    try:
-        with urllib.request.urlopen(args.url, timeout=60) as response:
-            payload = response.read()
-    except (urllib.error.URLError, OSError) as exc:
-        raise NetworkError(f"{args.url}: {exc}") from exc
-    try:
-        text = payload.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{args.url}: response is not UTF-8 text") from exc
-    with tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", suffix=".csv", delete=False
-    ) as handle:
-        handle.write(text)
-        tmp_path = handle.name
-    try:
-        series = load_csv(tmp_path, args.column)
-    finally:
-        os.unlink(tmp_path)
-    write_csv(series, args.out, value_column=args.column)
-    return [args.out]
-
-
 def _load_aligned(x_csv: str, y_csv: str, column: str, mode: str) -> AlignedPair:
     """Inner-join the raw calendars first, then preprocess each side."""
     raw = align_pair(load_csv(x_csv, column), load_csv(y_csv, column))
@@ -270,12 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         "benchmark their measures against noise baselines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fetch", help="download a CSV and normalize it")
-    p.add_argument("url", help="HTTP(S) endpoint serving a series CSV")
-    p.add_argument("--out", required=True, help="destination CSV path")
-    _add_column(p)
-    p.set_defaults(fn=cmd_fetch)
 
     p = sub.add_parser("map", help="map two series onto a coupling network")
     p.add_argument("x_csv", help="CSV of the source series (edge sources)")

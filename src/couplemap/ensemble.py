@@ -235,15 +235,6 @@ class ComparisonReport:
             "distance_to_uncoupled": self.distance_to_uncoupled,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ComparisonReport":
-        return cls(
-            systems=data["systems"],
-            normalized=data["normalized"],
-            distance_to_uncoupled=data["distance_to_uncoupled"],
-            baseline=data["baseline"],
-        )
-
 
 def radar_normalize(systems: dict, baseline: str = UNCOUPLED_SYSTEM) -> ComparisonReport:
     """Min-max rescale each measure across systems; distances to baseline.

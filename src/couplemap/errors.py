@@ -76,7 +76,3 @@ class TooFewSamples(CoupleMapError):
 
 class MismatchedMeasureSets(CoupleMapError):
     """Systems under comparison do not share one measure-name set."""
-
-
-class NetworkError(CoupleMapError):
-    """HTTP fetch failed."""

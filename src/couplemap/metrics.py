@@ -5,6 +5,10 @@ Degrees, clustering and path lengths are defined on the binarized graph
 for clustering and paths. Modularity is the only weighted family. Every
 statistic here has a matching brute-force oracle in the test suite.
 
+Every family returns report fields: a dict keyed by the MeasureReport
+field names (MEASURE_FIELDS) it fills, one per network for degrees and
+clustering. measure_all merges them with deformation_R into the report.
+
 measure_many measures networks of one bin count in stacks of as many as
 keep each stacked (R, B, B) array within 512 KB (series.stack_size; 26 at
 B = 50). Degrees, clustering and greedy community detection run once per
@@ -17,7 +21,7 @@ memory by 1.5 MB on the B = 50 battery to save 1% of its time
 measure_all's for that network alone, bit for bit.
 
 A network measured alone (a stack of fewer than _STACK_MIN, so every
-network above B = 128) has its communities detected by _communities_one:
+network above B = 104) has its communities detected by _communities_one:
 it merges occupied bins only, stops at the last positive-gain merge and
 drops merged-away rows once half are dead, with the labels of the full
 greedy run.
@@ -71,46 +75,6 @@ _ASSORT_FIELDS = ("scalar_assort_var", "assort_var", "assort_coef", "scalar_asso
 _PATH_FIELDS = ("mean_len_directed", "mean_len_undirected")
 
 
-@dataclass(frozen=True)
-class DegreeStats:
-    mean_sq_total: float
-    mean_sq_out: float
-    mean_sq_in: float
-    mean_total: float
-    mean_out: float
-    mean_in: float
-    std_total: float
-    concentration: float
-
-
-@dataclass(frozen=True)
-class ClusteringStats:
-    global_coef: float
-    std_local: float
-    mean_local_undirected: float
-    mean_local_directed: float
-
-
-@dataclass(frozen=True)
-class PathStats:
-    mean_directed: float
-    mean_undirected: float
-
-
-@dataclass(frozen=True)
-class AssortStats:
-    coef: float
-    coef_var: float
-    scalar_coef: float
-    scalar_coef_var: float
-
-
-@dataclass(frozen=True)
-class ModularityStats:
-    q_total_degree: float
-    q_out_degree: float
-
-
 def _binarized(net: CouplingNetwork) -> np.ndarray:
     return net.weights > 0
 
@@ -159,10 +123,10 @@ def _adjacency(nets, dtype) -> np.ndarray:
 def degree_stats(nets) -> list:
     """Unweighted neighbor counts over all B nodes, isolated ones included.
 
-    One DegreeStats per network of a list sharing one bin count (ValueError
-    otherwise), computed a stack at a time (see _stacks). A self-loop
-    counts once in the out-degree and once in the in-degree of its node.
-    The concentration ratio <k>^2 / <k^2> is 0 for an empty graph.
+    One dict of report fields per network of a list sharing one bin count
+    (ValueError otherwise), computed a stack at a time (see _stacks). A
+    self-loop counts once in the out-degree and once in the in-degree of
+    its node. The concentration ratio <k>^2 / <k^2> is 0 for an empty graph.
     """
     stats = []
     for stack in _stacks(nets):
@@ -171,16 +135,16 @@ def degree_stats(nets) -> list:
         k_in = a.sum(axis=1)
         k_tot = k_out + k_in
         stats += [
-            DegreeStats(
-                mean_sq_total=sq_tot,
-                mean_sq_out=sq_out,
-                mean_sq_in=sq_in,
-                mean_total=tot,
-                mean_out=out,
-                mean_in=in_,
-                std_total=std,
-                concentration=tot**2 / sq_tot if sq_tot > 0 else 0.0,
-            )
+            {
+                "mean_sq_k_total": sq_tot,
+                "mean_sq_k_out": sq_out,
+                "mean_sq_k_in": sq_in,
+                "mean_k_total": tot,
+                "mean_k_out": out,
+                "mean_k_in": in_,
+                "std_k_total": std,
+                "degree_concentration": tot**2 / sq_tot if sq_tot > 0 else 0.0,
+            }
             for sq_tot, sq_out, sq_in, tot, out, in_, std in zip(
                 (k_tot.astype(np.float64) ** 2).mean(axis=1).tolist(),
                 (k_out.astype(np.float64) ** 2).mean(axis=1).tolist(),
@@ -197,11 +161,12 @@ def degree_stats(nets) -> list:
 def clustering_stats(nets) -> list:
     """Triangle-density measures on the loop-free binarized graph.
 
-    One ClusteringStats per network of a list sharing one bin count
+    One dict of report fields per network of a list sharing one bin count
     (ValueError otherwise), computed a stack at a time (see _stacks).
-    global_coef is the transitivity of the undirected projection; local
+    cl_global is the transitivity of the undirected projection; local
     values are averaged over all B nodes with degree-<2 nodes contributing
-    0. The directed local coefficient counts all triangle orientations:
+    0, and cl_global_std is the undirected ones' standard deviation. The
+    directed local coefficient counts all triangle orientations:
     C_i = [(A + A^T)^3]_ii / (2 [d_i (d_i - 1) - 2 d_bi,i]) with
     d_bi,i = (A^2)_ii the number of reciprocal neighbors.
     """
@@ -234,13 +199,20 @@ def clustering_stats(nets) -> list:
         denom = 2.0 * (d_tot * (d_tot - 1) - 2 * d_bi)
         local_d = np.divide(s3, denom, out=np.zeros_like(s3), where=denom > 0)
 
-        stats += map(
-            ClusteringStats,
-            global_coef.tolist(),
-            local_u.std(axis=1).tolist(),
-            local_u.mean(axis=1).tolist(),
-            local_d.mean(axis=1).tolist(),
-        )
+        stats += [
+            {
+                "cl_global": coef,
+                "cl_global_std": std,
+                "cl_local_undirected_mean": mean_u,
+                "cl_local_directed_mean": mean_d,
+            }
+            for coef, std, mean_u, mean_d in zip(
+                global_coef.tolist(),
+                local_u.std(axis=1).tolist(),
+                local_u.mean(axis=1).tolist(),
+                local_d.mean(axis=1).tolist(),
+            )
+        ]
     return stats
 
 
@@ -270,7 +242,7 @@ def _bfs_distance_sums(adj: np.ndarray) -> tuple[int, int]:
     return total, count
 
 
-def path_stats(net: CouplingNetwork) -> PathStats:
+def path_stats(net: CouplingNetwork) -> dict:
     """Mean unweighted shortest-path lengths, self-loops ignored.
 
     Directed means run over all ordered reachable pairs, undirected over
@@ -283,10 +255,10 @@ def path_stats(net: CouplingNetwork) -> PathStats:
         raise NoEdges("no edges outside the diagonal")
     d_total, d_count = _bfs_distance_sums(a)
     u_total, u_count = _bfs_distance_sums(a | a.T)
-    return PathStats(
-        mean_directed=d_total / d_count,
-        mean_undirected=u_total / u_count,
-    )
+    return {
+        "mean_len_directed": d_total / d_count,
+        "mean_len_undirected": u_total / u_count,
+    }
 
 
 def _pearson_int(m: int, sxy: int, sp2: int, sq2: int) -> tuple[int, int]:
@@ -299,17 +271,17 @@ def _pearson_int(m: int, sxy: int, sp2: int, sq2: int) -> tuple[int, int]:
     return 4 * m * sxy - sp2 * sp2, 2 * m * sq2 - sp2 * sp2
 
 
-def assortativity_stats(net: CouplingNetwork) -> AssortStats:
+def assortativity_stats(net: CouplingNetwork) -> dict:
     """Degree-mixing coefficients over the binarized edge list.
 
-    scalar_coef correlates total degrees across edge endpoints with both
-    orientations pooled (each edge contributes (x, y) and (y, x)), the
-    form that yields -1 for a directed star. coef treats each distinct
-    total-degree value as a category on the directed mixing matrix.
-    Variances are delete-one-edge jackknife sums; leave-one-out
-    coefficients that are themselves degenerate are skipped. When all
-    endpoint degrees are identical (fewer than 2 edges included) both
-    coefficients are undefined and DegenerateDegrees is raised.
+    scalar_assort_coef correlates total degrees across edge endpoints with
+    both orientations pooled (each edge contributes (x, y) and (y, x)), the
+    form that yields -1 for a directed star. assort_coef treats each
+    distinct total-degree value as a category on the directed mixing
+    matrix. The *_var values are delete-one-edge jackknife sums;
+    leave-one-out coefficients that are themselves degenerate are skipped.
+    When all endpoint degrees are identical (fewer than 2 edges included)
+    both coefficients are undefined and DegenerateDegrees is raised.
     """
     a = _binarized(net)
     k_out = a.sum(axis=1)
@@ -357,30 +329,31 @@ def assortativity_stats(net: CouplingNetwork) -> AssortStats:
     ok = cden_e != 0
     coef_var = float((((cnum_e[ok] / cden_e[ok]) - coef) ** 2).sum())
 
-    return AssortStats(coef, coef_var, scalar_coef, scalar_var)
+    return {
+        "assort_coef": coef,
+        "assort_var": coef_var,
+        "scalar_assort_coef": scalar_coef,
+        "scalar_assort_var": scalar_var,
+    }
 
 
 # Networks are measured in stacks that share a bin count B: the next
 # series.stack_size(B**2) networks (26 at B = 50, 6 at 100, 4 at 128, 1
 # from 182 on), so each stacked (R, B, B) array holds at most 2**16 float64
 # cells (512 KB). Greedy communities run one network at a time in a stack
-# of fewer than _STACK_MIN networks, or one holding a network of N samples
-# with (2N)**2 >= 2**53 (see _communities_stack). Milliseconds per 32
-# fGn-lag networks, one at a time -> stacked (stack size), 2-CPU host, one
-# thread:
-#   B = 50 (26): 37 -> 10    64 (16): 46 -> 14    100 (6): 84 -> 46
-#   128 (4): 117 -> 84    150 (2): 163 -> 171    181 (2): 205 -> 214
-#   50 (3): 40 -> 35    100 (3): 87 -> 75    50 (2): 34 -> 43    50 (1): 37 -> 77
-# Stacks of 2 lose and stacks of 3 win by little, hence the minimum of 4.
-# The two stacked community arrays raised the benchmark's peak RSS by 1.6%
-# on the B = 50 battery and 2.1% on the B = 50 fGn pairs, against a 5%
-# bound, so no third (R, B, B) float64 array is kept there. The one-at-a-
-# time figures above predate _communities_one's occupied bins, early stop
-# and compaction; with them, one at a time -> stacked per 32 networks is
-#   B = 50 (26): 27 -> 11    64 (16): 35 -> 16    100 (6): 58 -> 56
-#   128 (4): 74 -> 92
-# so the minimum of 4 is no longer tuned at B = 128.
-_STACK_MIN = 4
+# of fewer than _STACK_MIN networks (so at every B above 104), or in one
+# holding a network of N samples with (2N)**2 >= 2**53 (see
+# _communities_stack). Milliseconds per 32 fGn-lag networks (H = 0.9,
+# N = 2000), one at a time -> stacked (stack size), median of 11
+# alternating calls, 2-CPU host:
+#   B = 50 (26): 26 -> 11    64 (16): 34 -> 14    95 (7): 52 -> 43
+#   100 (6): 55 -> 51    105 (5): 58 -> 60
+#   115 (4): 64 -> 74    128 (4): 68 -> 85
+# Over four such runs stacks of 6 won by 5-16% and stacks of 5 lost by
+# 4-10%. The two stacked community arrays raised the benchmark's peak RSS
+# by 1.6% on the B = 50 battery and 2.1% on the B = 50 fGn pairs, against a
+# 5% bound, so no third (R, B, B) float64 array is kept there.
+_STACK_MIN = 6
 
 
 def _stacks(nets):
@@ -604,12 +577,12 @@ def detect_communities(nets) -> list:
     return labels
 
 
-def modularity_stats(net: CouplingNetwork, partition) -> ModularityStats:
+def modularity_stats(net: CouplingNetwork, partition) -> dict:
     """Weighted modularity of a partition, total-degree and out-degree null.
 
-    q_total_degree uses the symmetrized weights with the strength-product
-    null model; q_out_degree uses the directed null w_out,i * w_in,j / m on
-    the raw weights.
+    modularity_total_degree uses the symmetrized weights with the
+    strength-product null model; modularity_out_degree uses the directed
+    null w_out,i * w_in,j / m on the raw weights.
     """
     labels = np.asarray(partition, dtype=np.int64)
     if labels.shape != (net.bin_count,):
@@ -631,7 +604,7 @@ def modularity_stats(net: CouplingNetwork, partition) -> ModularityStats:
     w_in = w.sum(axis=0)
     q_out = float((w[same].sum() - (np.outer(w_out, w_in) / m)[same].sum()) / m)
 
-    return ModularityStats(q_total, q_out)
+    return {"modularity_total_degree": q_total, "modularity_out_degree": q_out}
 
 
 @dataclass(frozen=True)
@@ -714,47 +687,26 @@ def measure_many(nets) -> list:
 
 
 def _report(
-    net: CouplingNetwork, labels: np.ndarray, deg: DegreeStats, clu: ClusteringStats
+    net: CouplingNetwork, labels: np.ndarray, deg: dict, clu: dict
 ) -> MeasureReport:
+    values = {**deg, **clu, "deformation_R": deformation_ratio(joint_probability(net))}
     flags: list[str] = []
-    r = deformation_ratio(joint_probability(net))
 
     try:
-        paths = path_stats(net)
+        values.update(path_stats(net))
     except NoEdges:
-        paths = PathStats(0.0, 0.0)
+        values.update(dict.fromkeys(_PATH_FIELDS, 0.0))
         flags.extend(_PATH_FIELDS)
 
     try:
-        assort = assortativity_stats(net)
+        values.update(assortativity_stats(net))
     except DegenerateDegrees:
-        assort = AssortStats(0.0, 0.0, 0.0, 0.0)
+        values.update(dict.fromkeys(_ASSORT_FIELDS, 0.0))
         flags.extend(_ASSORT_FIELDS)
 
-    mod = modularity_stats(net, labels)
-
+    values.update(modularity_stats(net, labels))
     return MeasureReport(
-        mean_sq_k_total=deg.mean_sq_total,
-        mean_sq_k_out=deg.mean_sq_out,
-        mean_sq_k_in=deg.mean_sq_in,
-        mean_k_total=deg.mean_total,
-        mean_k_out=deg.mean_out,
-        mean_k_in=deg.mean_in,
-        std_k_total=deg.std_total,
-        cl_global_std=clu.std_local,
-        cl_local_undirected_mean=clu.mean_local_undirected,
-        cl_local_directed_mean=clu.mean_local_directed,
-        cl_global=clu.global_coef,
-        scalar_assort_var=assort.scalar_coef_var,
-        mean_len_directed=paths.mean_directed,
-        mean_len_undirected=paths.mean_undirected,
-        deformation_R=r,
-        assort_var=assort.coef_var,
-        assort_coef=assort.coef,
-        scalar_assort_coef=assort.scalar_coef,
-        modularity_total_degree=mod.q_total_degree,
-        modularity_out_degree=mod.q_out_degree,
-        degree_concentration=deg.concentration,
+        **values,
         bin_count=net.bin_count,
         sample_count=net.sample_count,
         flags=tuple(sorted(set(flags))),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from couplemap import CouplingNetwork
+from couplemap.netmap import CouplingNetwork
 from couplemap.series import TimeSeries, index_series, write_csv
 
 

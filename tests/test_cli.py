@@ -1,9 +1,7 @@
 """End-to-end command-line contracts: files, exit codes, error lines."""
 
-import http.server
 import json
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -322,75 +320,10 @@ class TestSurrogateAndCompare:
         assert stderr.startswith("ParseError:")
 
 
-class _Handler(http.server.BaseHTTPRequestHandler):
-    routes = {}
-
-    def do_GET(self):
-        if self.path in self.routes:
-            status, ctype, body = self.routes[self.path]
-            self.send_response(status)
-            self.send_header("Content-Type", ctype)
-            self.end_headers()
-            self.wfile.write(body)
-        else:
-            self.send_error(404)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture(scope="module")
-def http_url():
-    _Handler.routes = {
-        "/good.csv": (200, "text/csv", b"t,value\n0,1.5\n1,2.5\n2,2.0\n"),
-        "/page.html": (200, "text/html", b"<html><body>not a csv</body></html>"),
-    }
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
-
-
-class TestFetch:
-    def test_valid_csv_normalized(self, http_url, tmp_path, capsys):
-        dest = tmp_path / "fetched.csv"
-        code, stdout, stderr = run_cli(
-            capsys, "fetch", f"{http_url}/good.csv", "--out", str(dest)
-        )
-        assert code == 0, stderr
-        assert stdout.strip() == str(dest)
-        assert dest.read_bytes() == b"t,value\r\n0,1.5\r\n1,2.5\r\n2,2.0\r\n"
-
-    def test_404_is_network_error(self, http_url, tmp_path, capsys):
-        code, _, stderr = run_cli(
-            capsys, "fetch", f"{http_url}/absent.csv", "--out", str(tmp_path / "o.csv")
-        )
-        assert code == 1
-        assert stderr.startswith("NetworkError:")
-
-    def test_html_is_parse_error(self, http_url, tmp_path, capsys):
-        code, _, stderr = run_cli(
-            capsys, "fetch", f"{http_url}/page.html", "--out", str(tmp_path / "o.csv")
-        )
-        assert code == 1
-        assert stderr.startswith("ParseError:")
-
-    def test_unreachable_host(self, tmp_path, capsys):
-        code, _, stderr = run_cli(
-            capsys,
-            "fetch", "http://127.0.0.1:9/nothing.csv", "--out", str(tmp_path / "o.csv"),
-        )
-        assert code == 1
-        assert stderr.startswith("NetworkError:")
-
-
 class TestHelp:
     @pytest.mark.parametrize(
         ("command", "expected"),
         [
-            ("fetch", "destination CSV path"),
             ("map", "at least 2 to map"),
             ("map-lag", "less than the series length"),
             ("baseline", "in (0, 1)"),
@@ -411,5 +344,5 @@ class TestHelp:
             main(["--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        for command in ("fetch", "map", "map-lag", "baseline", "surrogate", "compare"):
+        for command in ("map", "map-lag", "baseline", "surrogate", "compare"):
             assert command in out

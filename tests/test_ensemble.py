@@ -1,5 +1,6 @@
 """Ensemble aggregation, confidence intervals, seeds and radar reports."""
 
+import json
 import math
 
 import numpy as np
@@ -7,19 +8,15 @@ import pytest
 from scipy.stats import norm
 
 from couplemap import (
-    ComparisonReport,
     EnsembleConfig,
-    EnsembleSummary,
     MismatchedMeasureSets,
     ParseError,
-    SummaryRow,
     TooFewSamples,
-    confidence_interval,
-    derive_seed,
     radar_normalize,
     read_summary_csv,
     run_fgn_ensemble,
     run_surrogate_pair,
+    write_comparison_json,
     write_summary_csv,
 )
 from couplemap import ensemble
@@ -28,7 +25,11 @@ from couplemap.ensemble import (
     DEFAULT_MASTER_SEED,
     SUMMARY_COLUMNS,
     UNCOUPLED_SYSTEM,
+    EnsembleSummary,
+    SummaryRow,
     _aggregate,
+    confidence_interval,
+    derive_seed,
     fgn_system_name,
 )
 from couplemap.metrics import MEASURE_FIELDS, MeasureReport, measure_all, measure_many
@@ -432,11 +433,14 @@ class TestRadarNormalize:
         with pytest.raises(ValueError):
             radar_normalize({"a": self._vec(m=1.0), "b": self._vec(m=2.0)})
 
-    def test_report_round_trip(self):
+    def test_report_round_trip(self, tmp_path):
         report = radar_normalize(
             {UNCOUPLED_SYSTEM: self._vec(a=1.0), "other": self._vec(a=2.0)}
         )
-        again = ComparisonReport.from_dict(report.to_dict())
-        assert again.baseline == report.baseline
-        assert again.normalized == report.normalized
-        assert again.distance_to_uncoupled == report.distance_to_uncoupled
+        path = tmp_path / "comparison.json"
+        write_comparison_json(report, path)
+        again = json.loads(path.read_text())
+        assert again["baseline"] == report.baseline
+        assert again["systems"] == report.systems
+        assert again["normalized"] == report.normalized
+        assert again["distance_to_uncoupled"] == report.distance_to_uncoupled

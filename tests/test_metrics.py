@@ -9,30 +9,28 @@ import pytest
 import oracles
 from conftest import edges_net, net_from, random_weights, special_weight_matrices
 from couplemap import (
-    CouplingNetwork,
     DegenerateDegrees,
     EmptyNetwork,
     InvalidPartition,
     NoEdges,
-    deformation_ratio,
     joint_probability,
     measure_all,
 )
 from couplemap.metrics import (
+    _STACK_MIN,
     MEASURE_FIELDS,
     TABLE_FIELDS,
-    AssortStats,
-    ClusteringStats,
     MeasureReport,
     assortativity_stats,
     clustering_stats,
+    deformation_ratio,
     degree_stats,
     detect_communities,
     measure_many,
     modularity_stats,
     path_stats,
 )
-from couplemap.netmap import map_lagged, map_pair
+from couplemap.netmap import CouplingNetwork, map_lagged, map_pair
 from couplemap.series import AlignedPair, index_series
 from couplemap.synth import FgnSpec, generate_fgn, surrogate
 
@@ -107,6 +105,43 @@ class TestSchema:
         vec = measure_all(net).as_vector()
         assert tuple(vec) == MEASURE_FIELDS
 
+    def test_families_return_report_fields(self):
+        # each family fills its own names of MEASURE_FIELDS, the report
+        # takes them unchanged, and with deformation_R they fill all of it
+        net = net_from(special_weight_matrices()[3])  # no family degenerate
+        families = {
+            "degree": degree_stats([net])[0],
+            "clustering": clustering_stats([net])[0],
+            "paths": path_stats(net),
+            "assortativity": assortativity_stats(net),
+            "modularity": modularity_stats(net, detect_communities([net])[0]),
+        }
+        assert {name: set(keys) for name, keys in families.items()} == {
+            "degree": {
+                "mean_sq_k_total", "mean_sq_k_out", "mean_sq_k_in", "mean_k_total",
+                "mean_k_out", "mean_k_in", "std_k_total", "degree_concentration",
+            },
+            "clustering": {
+                "cl_global", "cl_global_std", "cl_local_undirected_mean",
+                "cl_local_directed_mean",
+            },
+            "paths": {"mean_len_directed", "mean_len_undirected"},
+            "assortativity": {
+                "assort_coef", "assort_var", "scalar_assort_coef", "scalar_assort_var",
+            },
+            "modularity": {"modularity_total_degree", "modularity_out_degree"},
+        }
+        names = [key for values in families.values() for key in values]
+        names.append("deformation_R")
+        assert len(names) == len(set(names)) == len(MEASURE_FIELDS)
+        assert set(names) == set(MEASURE_FIELDS)
+
+        report = measure_all(net)
+        assert report.flags == ()
+        for values in families.values():
+            for name, value in values.items():
+                assert getattr(report, name) == value, name
+
 
 class TestDeformationRatio:
     def test_uniform_is_symmetric(self):
@@ -155,67 +190,67 @@ class TestDegreeStats:
     def test_hand_fixture(self):
         net = edges_net(3, [(0, 1), (1, 2), (2, 2)])
         d = degree_stats([net])[0]
-        assert d.mean_total == 2.0
-        assert_close(d.mean_sq_total, 14.0 / 3.0, "mean_sq_total")
-        assert_close(d.std_total, math.sqrt(2.0 / 3.0), "std_total")
-        assert d.mean_out == d.mean_in == 1.0
-        assert_close(d.concentration, 4.0 / (14.0 / 3.0), "concentration")
+        assert d["mean_k_total"] == 2.0
+        assert_close(d["mean_sq_k_total"], 14.0 / 3.0, "mean_sq_k_total")
+        assert_close(d["std_k_total"], math.sqrt(2.0 / 3.0), "std_k_total")
+        assert d["mean_k_out"] == d["mean_k_in"] == 1.0
+        assert_close(d["degree_concentration"], 4.0 / (14.0 / 3.0), "degree_concentration")
 
     def test_empty_graph(self):
         net = CouplingNetwork(3, np.zeros((3, 3), dtype=np.int64), 0)
         d = degree_stats([net])[0]
-        assert d.mean_total == d.std_total == 0.0
-        assert d.concentration == 0.0
+        assert d["mean_k_total"] == d["std_k_total"] == 0.0
+        assert d["degree_concentration"] == 0.0
 
     def test_complete_with_self_loops(self):
         b = 4
         net = net_from(np.ones((b, b), dtype=np.int64))
         d = degree_stats([net])[0]
-        assert d.mean_out == d.mean_in == b
-        assert d.std_total == 0.0
-        assert d.concentration == 1.0
+        assert d["mean_k_out"] == d["mean_k_in"] == b
+        assert d["std_k_total"] == 0.0
+        assert d["degree_concentration"] == 1.0
 
     def test_self_loop_counts_once_per_direction(self):
         net = edges_net(3, [(1, 1)])
         d = degree_stats([net])[0]
-        assert d.mean_out == d.mean_in == pytest.approx(1.0 / 3.0)
-        assert d.mean_total == pytest.approx(2.0 / 3.0)
+        assert d["mean_k_out"] == d["mean_k_in"] == pytest.approx(1.0 / 3.0)
+        assert d["mean_k_total"] == pytest.approx(2.0 / 3.0)
 
     def test_out_in_identity(self, rng):
         # every edge contributes one source and one target endpoint
         for _ in range(30):
             d = degree_stats([net_from(random_weights(rng))])[0]
-            assert d.mean_out == d.mean_in
-            assert_close(d.mean_total, d.mean_out + d.mean_in, "mean_total")
+            assert d["mean_k_out"] == d["mean_k_in"]
+            assert_close(d["mean_k_total"], d["mean_k_out"] + d["mean_k_in"], "mean_k_total")
 
     def test_concentration_bounds(self, rng):
         for _ in range(30):
             d = degree_stats([net_from(random_weights(rng))])[0]
-            assert 0.0 < d.concentration <= 1.0
+            assert 0.0 < d["degree_concentration"] <= 1.0
 
 
 class TestClusteringStats:
     def test_undirected_triangle(self):
         net = edges_net(3, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)])
         c = clustering_stats([net])[0]
-        assert c.global_coef == 1.0
-        assert c.mean_local_undirected == 1.0
-        assert c.std_local == 0.0
+        assert c["cl_global"] == 1.0
+        assert c["cl_local_undirected_mean"] == 1.0
+        assert c["cl_global_std"] == 0.0
 
     def test_directed_three_cycle(self):
         net = edges_net(3, [(0, 1), (1, 2), (2, 0)])
         c = clustering_stats([net])[0]
         # each node: numerator 2, denominator 2*(2*1 - 0) = 4
-        assert c.mean_local_directed == pytest.approx(0.5)
-        assert c.global_coef == 1.0
+        assert c["cl_local_directed_mean"] == pytest.approx(0.5)
+        assert c["cl_global"] == 1.0
 
     def test_path_graph_no_triangles(self):
         net = edges_net(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
         c = clustering_stats([net])[0]
-        assert c.global_coef == 0.0
-        assert c.mean_local_undirected == 0.0
-        assert c.mean_local_directed == 0.0
-        assert c.std_local == 0.0
+        assert c["cl_global"] == 0.0
+        assert c["cl_local_undirected_mean"] == 0.0
+        assert c["cl_local_directed_mean"] == 0.0
+        assert c["cl_global_std"] == 0.0
 
     def test_self_loops_ignored(self):
         with_loops = edges_net(3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1)])
@@ -240,8 +275,13 @@ class TestClusteringStats:
         d_tot = a.sum(axis=1) + a.sum(axis=0)
         d_bi = np.einsum("ij,ji->i", a, a)
         local_d = s3 / (2.0 * (d_tot * (d_tot - 1) - 2 * d_bi))
-        expected = (closed.sum() / triples.sum(), local_u.std(), local_u.mean(), local_d.mean())
-        assert clustering_stats([net_from(w)])[0] == ClusteringStats(*map(float, expected))
+        expected = {
+            "cl_global": closed.sum() / triples.sum(),
+            "cl_global_std": local_u.std(),
+            "cl_local_undirected_mean": local_u.mean(),
+            "cl_local_directed_mean": local_d.mean(),
+        }
+        assert clustering_stats([net_from(w)])[0] == expected
 
     def test_requires_three_bins(self):
         with pytest.raises(ValueError):
@@ -250,28 +290,28 @@ class TestClusteringStats:
     def test_bounds(self, rng):
         for _ in range(30):
             c = clustering_stats([net_from(random_weights(rng))])[0]
-            assert 0.0 <= c.global_coef <= 1.0
-            assert 0.0 <= c.mean_local_undirected <= 1.0
-            assert 0.0 <= c.mean_local_directed <= 1.0
-            assert c.std_local >= 0.0
+            assert 0.0 <= c["cl_global"] <= 1.0
+            assert 0.0 <= c["cl_local_undirected_mean"] <= 1.0
+            assert 0.0 <= c["cl_local_directed_mean"] <= 1.0
+            assert c["cl_global_std"] >= 0.0
 
 
 class TestPathStats:
     def test_directed_three_cycle(self):
         p = path_stats(edges_net(3, [(0, 1), (1, 2), (2, 0)]))
-        assert p.mean_directed == pytest.approx(1.5)
-        assert p.mean_undirected == pytest.approx(1.0)
+        assert p["mean_len_directed"] == pytest.approx(1.5)
+        assert p["mean_len_undirected"] == pytest.approx(1.0)
 
     def test_complete_graph(self):
         b = 4
         p = path_stats(net_from(np.ones((b, b), dtype=np.int64)))
-        assert p.mean_directed == 1.0
-        assert p.mean_undirected == 1.0
+        assert p["mean_len_directed"] == 1.0
+        assert p["mean_len_undirected"] == 1.0
 
     def test_two_disconnected_dyads(self):
         p = path_stats(edges_net(4, [(0, 1), (1, 0), (2, 3), (3, 2)]))
-        assert p.mean_directed == 1.0
-        assert p.mean_undirected == 1.0
+        assert p["mean_len_directed"] == 1.0
+        assert p["mean_len_undirected"] == 1.0
 
     def test_only_self_loops_is_edgeless(self):
         with pytest.raises(NoEdges):
@@ -280,8 +320,8 @@ class TestPathStats:
     def test_unreachable_pairs_excluded(self):
         # 0 -> 1 -> 2: five reachable ordered pairs would be wrong, three right
         p = path_stats(edges_net(3, [(0, 1), (1, 2)]))
-        assert p.mean_directed == pytest.approx((1 + 1 + 2) / 3)
-        assert p.mean_undirected == pytest.approx((1 + 1 + 2) / 3)
+        assert p["mean_len_directed"] == pytest.approx((1 + 1 + 2) / 3)
+        assert p["mean_len_undirected"] == pytest.approx((1 + 1 + 2) / 3)
 
     def test_undirected_bounded_by_directed_when_strongly_connected(self, rng):
         checked = 0
@@ -302,14 +342,14 @@ class TestPathStats:
                 if i != j
             ):
                 continue
-            assert p.mean_undirected <= p.mean_directed + 1e-12
+            assert p["mean_len_undirected"] <= p["mean_len_directed"] + 1e-12
             checked += 1
 
 
 class TestAssortativity:
     def test_star_is_perfectly_disassortative(self):
         a = assortativity_stats(edges_net(4, [(0, 1), (0, 2), (0, 3)]))
-        assert a.scalar_coef == pytest.approx(-1.0)
+        assert a["scalar_assort_coef"] == pytest.approx(-1.0)
 
     def test_ring_degenerate(self):
         with pytest.raises(DegenerateDegrees):
@@ -325,13 +365,25 @@ class TestAssortativity:
         )
         a = assortativity_stats(net)
         expected = oracles.oracle_assortativity_stats(net.weights.tolist())
-        assert math.copysign(1, a.coef) == math.copysign(1, expected["assort_coef"])
-        assert_close(a.coef, expected["assort_coef"], "assort_coef")
-        assert_close(a.scalar_coef, expected["scalar_assort_coef"], "scalar")
+        assert math.copysign(1, a["assort_coef"]) == math.copysign(1, expected["assort_coef"])
+        assert_close(a["assort_coef"], expected["assort_coef"], "assort_coef")
+        assert_close(a["scalar_assort_coef"], expected["scalar_assort_coef"], "scalar")
 
-    def test_exactly_four_fields(self):
-        names = [f.name for f in fields(AssortStats)]
-        assert names == ["coef", "coef_var", "scalar_coef", "scalar_coef_var"]
+    def test_exactly_four_fields(self, rng):
+        # the four report fields, each equal to the oracle's, key by key
+        checked = 0
+        for w in [random_weights(rng) for _ in range(60)] + special_weight_matrices():
+            expected = oracles.oracle_assortativity_stats(w.tolist())
+            if expected is None:
+                with pytest.raises(DegenerateDegrees):
+                    assortativity_stats(net_from(w))
+                continue
+            got = assortativity_stats(net_from(w))
+            assert len(got) == 4 and got.keys() == expected.keys()
+            for name in expected:
+                assert_close(got[name], expected[name], name)
+            checked += 1
+        assert checked >= 30
 
     def test_bounds_and_variances(self, rng):
         checked = 0
@@ -341,10 +393,10 @@ class TestAssortativity:
                 a = assortativity_stats(net_from(w))
             except DegenerateDegrees:
                 continue
-            assert -1.0 - 1e-12 <= a.coef <= 1.0 + 1e-12
-            assert -1.0 - 1e-12 <= a.scalar_coef <= 1.0 + 1e-12
-            assert a.coef_var >= 0.0
-            assert a.scalar_coef_var >= 0.0
+            assert -1.0 - 1e-12 <= a["assort_coef"] <= 1.0 + 1e-12
+            assert -1.0 - 1e-12 <= a["scalar_assort_coef"] <= 1.0 + 1e-12
+            assert a["assort_var"] >= 0.0
+            assert a["scalar_assort_var"] >= 0.0
             checked += 1
 
 
@@ -358,7 +410,7 @@ class TestCommunities:
         assert len(set(labels[3:])) == 1
         assert labels[0] != labels[3]
         q = modularity_stats(net, labels)
-        assert q.q_total_degree == pytest.approx(0.5, abs=1e-12)
+        assert q["modularity_total_degree"] == pytest.approx(0.5, abs=1e-12)
 
     def test_complete_graph_single_community(self):
         b = 5
@@ -381,7 +433,7 @@ class TestCommunities:
         assert labels[0] != labels[7]
         best_q, best_partition = oracles.exhaustive_best_partition_q(w.tolist())
         assert sorted(map(sorted, best_partition)) == [[0, 1, 2, 3], [4, 5, 6, 7]]
-        q = modularity_stats(net, labels).q_total_degree
+        q = modularity_stats(net, labels)["modularity_total_degree"]
         assert_close(q, best_q, "greedy q matches the exhaustive optimum")
 
     def test_edgeless_rejected(self):
@@ -407,10 +459,10 @@ class TestCommunities:
             second = detect_communities([net])[0]
             assert np.array_equal(first, second)
             assert list(first) == oracles.oracle_detect_communities(w.tolist())
-        # the same graphs as stacks of at least 4, one per bin count
+        # the same graphs stacked (at least _STACK_MIN), one per bin count
         for bins in {len(w) for w in graphs}:
             group = [w for w in graphs if len(w) == bins]
-            group = group * -(-4 // len(group))
+            group = group * -(-_STACK_MIN // len(group))
             labels = detect_communities([net_from(w) for w in group])
             for w, got in zip(group, labels, strict=True):
                 assert list(got) == oracles.oracle_detect_communities(w.tolist())
@@ -420,7 +472,9 @@ class TestCommunities:
         [
             pytest.param("fgn-lag", 200, 1, id="fgn-lag-200"),
             pytest.param("student-t", 200, 1, id="student-t-200-empty-bins"),
+            # below _STACK_MIN one network at a time, from it stacked
             pytest.param("fgn-lag", 50, 4, id="fgn-lag-50-stack-of-4"),
+            pytest.param("fgn-lag", 50, 6, id="fgn-lag-50-stack-of-6"),
         ],
     )
     def test_oracle_labels_at_measured_size(self, kind, bins, count):
@@ -451,8 +505,8 @@ class TestModularity:
         for _ in range(10):
             net = net_from(random_weights(rng))
             q = modularity_stats(net, np.zeros(net.bin_count, dtype=np.int64))
-            assert abs(q.q_total_degree) < 1e-12
-            assert abs(q.q_out_degree) < 1e-12
+            assert abs(q["modularity_total_degree"]) < 1e-12
+            assert abs(q["modularity_out_degree"]) < 1e-12
 
     def test_random_partition_matches_oracle(self, rng):
         for _ in range(40):
@@ -461,10 +515,10 @@ class TestModularity:
             labels = rng.integers(0, b, size=b)
             got = modularity_stats(net_from(w), labels)
             q_total, q_out = oracles.oracle_modularity_stats(w.tolist(), list(labels))
-            assert_close(got.q_total_degree, q_total, "q_total_degree")
-            assert_close(got.q_out_degree, q_out, "q_out_degree")
-            assert -1.0 <= got.q_total_degree <= 1.0
-            assert -1.0 <= got.q_out_degree <= 1.0
+            assert_close(got["modularity_total_degree"], q_total, "modularity_total_degree")
+            assert_close(got["modularity_out_degree"], q_out, "modularity_out_degree")
+            assert -1.0 <= got["modularity_total_degree"] <= 1.0
+            assert -1.0 <= got["modularity_out_degree"] <= 1.0
 
     def test_partition_shape_checked(self):
         net = net_from([[1, 1, 0], [0, 1, 0], [1, 0, 1]])
@@ -610,12 +664,30 @@ class TestOracleEquivalence:
     def test_measured_size(self, kind):
         assert_matches_oracle(measured_weights(kind, 50))
 
+    @pytest.mark.parametrize(
+        "family, oracle",
+        [
+            (degree_stats, oracles.oracle_degree_stats),
+            (clustering_stats, oracles.oracle_clustering_stats),
+        ],
+        ids=["degree", "clustering"],
+    )
+    def test_family_dict_key_by_key(self, rng, family, oracle):
+        graphs = [random_weights(rng) for _ in range(30)] + special_weight_matrices()
+        graphs.append(measured_weights("fgn-lag", 50))
+        for w in graphs:
+            got = family([net_from(w)])[0]
+            expected = oracle(w.tolist())
+            assert got.keys() == expected.keys()
+            for name in expected:
+                assert_close(got[name], expected[name], name)
+
 
 class TestNetworkxDifferential:
     """Clustering, path means, assortativity and modularity against networkx
     on measured networks."""
 
-    @pytest.mark.parametrize("kind", ["fgn-lag", "surrogate"])
+    @pytest.mark.parametrize("kind", ["fgn-lag", "surrogate", "fgn-pair"])
     @pytest.mark.parametrize("bins", [50, 200])
     def test_clustering_and_paths(self, kind, bins):
         nx = pytest.importorskip("networkx")

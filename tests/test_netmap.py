@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import net_from, random_weights
 from couplemap import (
-    CouplingNetwork,
     EmptyNetwork,
     LagTooLarge,
     joint_probability,
@@ -15,6 +14,7 @@ from couplemap import (
     map_pair,
 )
 from couplemap.netmap import (
+    CouplingNetwork,
     bin_indices,
     map_lagged_rows,
     map_pair_rows,

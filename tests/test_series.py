@@ -17,7 +17,6 @@ from couplemap import (
     ZeroVariance,
     align_pair,
     load_csv,
-    log_returns,
     standardize,
 )
 from couplemap.series import (
@@ -27,6 +26,7 @@ from couplemap.series import (
     AlignedPair,
     TimeSeries,
     index_series,
+    log_returns,
     prepare,
     write_csv,
 )

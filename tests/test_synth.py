@@ -7,15 +7,16 @@ import pytest
 
 import oracles
 
-from couplemap import (
-    FgnSpec,
-    LengthTooShort,
-    fgn_autocovariance,
-    generate_fgn,
-    surrogate,
-)
+from couplemap import LengthTooShort, surrogate
 from couplemap.series import KIND_STANDARDIZED, index_series
-from couplemap.synth import _circulant_fgn, _embedding_eigenvalues, fgn_stacks
+from couplemap.synth import (
+    FgnSpec,
+    _circulant_fgn,
+    _embedding_eigenvalues,
+    fgn_autocovariance,
+    fgn_stacks,
+    generate_fgn,
+)
 
 
 def one_draw(hurst: float, n: int, seed: int) -> np.ndarray:
