@@ -16,7 +16,6 @@ import sys
 
 from .ensemble import (
     DEFAULT_LAG,
-    DEFAULT_LEVEL,
     DEFAULT_MASTER_SEED,
     DEFAULT_REPLICAS,
     DEFAULT_SERIES_LENGTH,
@@ -115,15 +114,6 @@ def _add_seed(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_level(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--level",
-        type=float,
-        default=DEFAULT_LEVEL,
-        help="two-sided confidence level in (0, 1) (default 0.90)",
-    )
-
-
 def _out_dir(args) -> str:
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -180,10 +170,8 @@ def cmd_baseline(args) -> list:
         lag=args.lag,
         master_seed=args.seed,
     )
-    if not 0.0 < args.level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {args.level}")
     _check_bins(args.bins, args.length)
-    summary = run_fgn_ensemble(cfg, level=args.level)
+    summary = run_fgn_ensemble(cfg)
     path = os.path.join(_out_dir(args), "baseline_summary.csv")
     write_summary_csv(summary, path)
     return [path]
@@ -198,7 +186,6 @@ def cmd_surrogate(args) -> list:
         replicas=args.replicas,
         bin_count=args.bins,
         master_seed=args.seed,
-        level=args.level,
     )
     out_dir = _out_dir(args)
     path = os.path.join(out_dir, "surrogate_summary.csv")
@@ -229,6 +216,8 @@ def cmd_compare(args) -> list:
         name, _, path = item.partition("=")
         if not name or not path:
             raise ValueError(f"expected NAME=PATH, got {item!r}")
+        if name in systems:
+            raise ValueError(f"duplicate system name {name!r} in {item!r}")
         systems[name] = _load_report_vector(path)
     report = radar_normalize(systems)
     out_dir = _out_dir(args)
@@ -296,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_bins(p)
     _add_seed(p)
-    _add_level(p)
     _add_out_dir(p)
     p.set_defaults(fn=cmd_baseline)
 
@@ -313,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_column(p)
     _add_preprocess(p)
     _add_seed(p)
-    _add_level(p)
     _add_out_dir(p)
     p.set_defaults(fn=cmd_surrogate)
 
@@ -337,11 +324,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         written = args.fn(args)
-    except CoupleMapError as exc:
-        detail = str(exc).replace("\n", " ")
-        print(f"{type(exc).__name__}:{detail}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError, KeyError) as exc:
+    except (CoupleMapError, ValueError, TypeError, KeyError) as exc:
         detail = str(exc).replace("\n", " ")
         print(f"{type(exc).__name__}:{detail}", file=sys.stderr)
         return 1

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import IoError, MismatchedMeasureSets, ParseError, TooFewSamples
 from .metrics import MEASURE_FIELDS, measure_many
@@ -40,9 +39,11 @@ DEFAULT_HURST_VALUES = tuple(round(0.1 * i, 1) for i in range(1, 10))
 DEFAULT_REPLICAS = 32
 DEFAULT_SERIES_LENGTH = 2000
 DEFAULT_LAG = 1
-DEFAULT_LEVEL = 0.90
 DEFAULT_MASTER_SEED = 20200529
 UNCOUPLED_SYSTEM = "fgn_h0.5"
+# Every summary is a two-sided 90% interval: Z90 is the standard normal
+# quantile at 0.95, bit for bit scipy.special.ndtri(0.95).
+Z90 = 1.6448536269514722
 
 COUPLING_LAG = "lag"
 COUPLING_PAIR = "pair"
@@ -62,16 +63,18 @@ def derive_seed(master_seed: int, stream: int, index: int) -> int:
     return mix(z ^ (index & _MASK64))
 
 
-def confidence_interval(samples, level: float = DEFAULT_LEVEL) -> tuple[float, float]:
-    """(mean, z * S / sqrt(n)) with S the sample (n-1 divisor) deviation."""
+def _check_master_seed(master_seed: int) -> None:
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError("master_seed must fit in 64 unsigned bits")
+
+
+def confidence_interval(samples) -> tuple[float, float]:
+    """(mean, Z90 * S / sqrt(n)) with S the sample (n-1 divisor) deviation."""
     values = np.asarray(samples, dtype=np.float64)
     if values.ndim != 1 or len(values) < 2:
         raise TooFewSamples(f"need at least 2 samples, got {values.size}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
-    z = float(ndtri((1.0 + level) / 2.0))
     mean = float(values.mean())
-    half_width = z * float(values.std(ddof=1)) / math.sqrt(len(values))
+    half_width = Z90 * float(values.std(ddof=1)) / math.sqrt(len(values))
     return mean, half_width
 
 
@@ -91,9 +94,17 @@ class EnsembleConfig:
         object.__setattr__(self, "hurst_values", tuple(self.hurst_values))
         if not self.hurst_values:
             raise ValueError("hurst_values must be non-empty")
+        names = {}
         for h in self.hurst_values:
             if not 0.0 < h < 1.0:
                 raise ValueError(f"hurst values must lie in (0, 1), got {h}")
+            name = fgn_system_name(h)
+            if name in names:
+                raise ValueError(
+                    f"hurst values {names[name]} and {h} share the system "
+                    f"name {name!r}"
+                )
+            names[name] = h
         if self.replicas_per_h < 2:
             raise TooFewSamples(
                 f"replicas_per_h must be at least 2, got {self.replicas_per_h}"
@@ -104,8 +115,7 @@ class EnsembleConfig:
             )
         if self.lag < 1:
             raise ValueError(f"lag must be at least 1, got {self.lag}")
-        if not 0 <= self.master_seed <= _MASK64:
-            raise ValueError("master_seed must fit in 64 unsigned bits")
+        _check_master_seed(self.master_seed)
         if self.coupling not in (COUPLING_LAG, COUPLING_PAIR):
             raise ValueError(f"unknown coupling mode {self.coupling!r}")
 
@@ -150,12 +160,10 @@ class EnsembleSummary:
         return EnsembleSummary({**self.systems, **other.systems})
 
 
-def _aggregate(reports: list, level: float) -> tuple:
+def _aggregate(reports: list) -> tuple:
     rows = []
     for name in MEASURE_FIELDS:
-        mean, half_width = confidence_interval(
-            [getattr(r, name) for r in reports], level
-        )
+        mean, half_width = confidence_interval([getattr(r, name) for r in reports])
         flagged = sum(1 for r in reports if name in r.flags)
         rows.append(SummaryRow(name, mean, half_width, len(reports), flagged))
     return tuple(rows)
@@ -165,7 +173,7 @@ def fgn_system_name(hurst: float) -> str:
     return f"fgn_h{hurst:g}"
 
 
-def run_fgn_ensemble(cfg: EnsembleConfig, level: float = DEFAULT_LEVEL) -> EnsembleSummary:
+def run_fgn_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
     """Per Hurst value: generate replicas, map, measure, aggregate.
 
     Lag coupling maps each noise against its own lag; pair coupling draws a
@@ -191,7 +199,7 @@ def run_fgn_ensemble(cfg: EnsembleConfig, level: float = DEFAULT_LEVEL) -> Ensem
     systems = {}
     for h_index, h in enumerate(cfg.hurst_values):
         reports = measure_many(networks(h_index, h))
-        systems[fgn_system_name(h)] = _aggregate(reports, level)
+        systems[fgn_system_name(h)] = _aggregate(reports)
     return EnsembleSummary(systems)
 
 
@@ -201,13 +209,12 @@ def run_surrogate_pair(
     replicas: int,
     bin_count: int = DEFAULT_BIN_COUNT,
     master_seed: int = DEFAULT_MASTER_SEED,
-    level: float = DEFAULT_LEVEL,
-    system: str = "surrogate",
 ) -> EnsembleSummary:
     """Surrogate both series independently per replica, map, measure."""
     AlignedPair(x, y)
     if replicas < 2:
         raise TooFewSamples(f"need at least 2 replicas, got {replicas}")
+    _check_master_seed(master_seed)
 
     def network(replica: int) -> CouplingNetwork:
         sx = surrogate(x, derive_seed(master_seed, replica, 0))
@@ -215,33 +222,33 @@ def run_surrogate_pair(
         return map_pair(AlignedPair(sx, sy), bin_count=bin_count)
 
     reports = measure_many(network(replica) for replica in range(replicas))
-    return EnsembleSummary({system: _aggregate(reports, level)})
+    return EnsembleSummary({"surrogate": _aggregate(reports)})
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Raw and min-max-normalized measure vectors plus radar distances."""
+    """Raw and min-max-normalized measure vectors plus radar distances to
+    UNCOUPLED_SYSTEM."""
 
     systems: dict
     normalized: dict
     distance_to_uncoupled: dict
-    baseline: str = UNCOUPLED_SYSTEM
 
     def to_dict(self) -> dict:
         return {
-            "baseline": self.baseline,
+            "baseline": UNCOUPLED_SYSTEM,
             "systems": self.systems,
             "normalized": self.normalized,
             "distance_to_uncoupled": self.distance_to_uncoupled,
         }
 
 
-def radar_normalize(systems: dict, baseline: str = UNCOUPLED_SYSTEM) -> ComparisonReport:
-    """Min-max rescale each measure across systems; distances to baseline.
+def radar_normalize(systems: dict) -> ComparisonReport:
+    """Min-max rescale each measure across systems; distances to UNCOUPLED_SYSTEM.
 
     All-equal measures normalize to 0.5 everywhere. distance_to_uncoupled is
-    the Euclidean distance between a system's normalized vector and the
-    baseline system's.
+    the Euclidean distance between a system's normalized vector and
+    UNCOUPLED_SYSTEM's.
     """
     if len(systems) < 2:
         raise ValueError(f"need at least 2 systems, got {len(systems)}")
@@ -253,8 +260,8 @@ def radar_normalize(systems: dict, baseline: str = UNCOUPLED_SYSTEM) -> Comparis
             raise MismatchedMeasureSets(
                 f"system {name!r} does not share the measure set of {names[0]!r}"
             )
-    if baseline not in systems:
-        raise ValueError(f"baseline system {baseline!r} not among inputs")
+    if UNCOUPLED_SYSTEM not in systems:
+        raise ValueError(f"baseline system {UNCOUPLED_SYSTEM!r} not among inputs")
 
     normalized = {name: {} for name in names}
     for measure in measure_names:
@@ -265,7 +272,7 @@ def radar_normalize(systems: dict, baseline: str = UNCOUPLED_SYSTEM) -> Comparis
                 0.5 if hi == lo else (value - lo) / (hi - lo)
             )
 
-    base_vec = normalized[baseline]
+    base_vec = normalized[UNCOUPLED_SYSTEM]
     distances = {
         name: math.sqrt(
             sum((normalized[name][m] - base_vec[m]) ** 2 for m in measure_names)
@@ -276,7 +283,6 @@ def radar_normalize(systems: dict, baseline: str = UNCOUPLED_SYSTEM) -> Comparis
         systems={name: dict(systems[name]) for name in names},
         normalized=normalized,
         distance_to_uncoupled=distances,
-        baseline=baseline,
     )
 
 

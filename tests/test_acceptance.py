@@ -169,7 +169,7 @@ def test_criterion_5_degree_identities(default_run):
 
 def test_criterion_6_confidence_interval():
     start = time.perf_counter()
-    mean, half_width = confidence_interval([1.0, 2.0, 3.0], 0.90)
+    mean, half_width = confidence_interval([1.0, 2.0, 3.0])
     elapsed = time.perf_counter() - start
     ok = abs(mean - 2.0) <= 1e-12 and abs(half_width - 0.9497) <= 1e-4 and elapsed < 1.0
     _verdict(6, ok, f"CI(1,2,3) = ({mean}, {half_width:.4f}) vs (2, 0.9497+/-1e-4)")

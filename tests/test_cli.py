@@ -211,6 +211,19 @@ class TestBaseline:
         assert code == 1
         assert stderr.startswith("ValueError:")
 
+    @pytest.mark.parametrize("hurst", ["0.5,0.5", "0.1,0.10000001"])
+    def test_hurst_values_sharing_a_system_name(self, hurst, tmp_path, capsys):
+        code, stdout, stderr = run_cli(
+            capsys,
+            "baseline", "--hurst", hurst, "--replicas", "2", "--length", "64",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("ValueError:hurst values ")
+        assert stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_same_seed_byte_identical(self, tmp_path, capsys):
         args = [
             "baseline", "--hurst", "0.4", "--replicas", "3", "--length", "64",
@@ -247,6 +260,18 @@ class TestSurrogateAndCompare:
         )
         assert code == 0, stderr
         return base_dir, sur_dir, map_dir
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_surrogate_seed_out_of_range(self, seed, market_csvs, tmp_path, capsys):
+        x, y = market_csvs
+        code, stdout, stderr = run_cli(
+            capsys,
+            "surrogate", x, y, "--replicas", "2", "--bins", "6", "--seed", seed,
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "ValueError:master_seed must fit in 64 unsigned bits\n"
 
     def test_full_compare(self, pipeline_dirs, tmp_path, capsys):
         base_dir, sur_dir, map_dir = pipeline_dirs
@@ -306,6 +331,25 @@ class TestSurrogateAndCompare:
         assert code == 1
         assert stderr.startswith("ValueError:")
 
+    @pytest.mark.parametrize(
+        "names", [("fgn_h0.5",), ("surrogate",), ("a", "a")], ids="-".join
+    )
+    def test_report_name_already_taken(self, names, pipeline_dirs, tmp_path, capsys):
+        base_dir, sur_dir, map_dir = pipeline_dirs
+        report = map_dir / "measures.json"
+        code, stdout, stderr = run_cli(
+            capsys,
+            "compare", *(f"{name}={report}" for name in names),
+            "--baseline", str(base_dir / "baseline_summary.csv"),
+            "--surrogate", str(sur_dir / "surrogate_summary.csv"),
+            "--out", str(tmp_path / "cmp"),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith(f"ValueError:duplicate system name {names[-1]!r}")
+        assert stderr.count("\n") == 1
+        assert not (tmp_path / "cmp").exists()
+
     def test_report_json_not_a_report(self, pipeline_dirs, tmp_path, capsys):
         base_dir, _, _ = pipeline_dirs
         bogus = tmp_path / "bogus.json"
@@ -338,6 +382,16 @@ class TestHelp:
         # argparse wraps long help strings, so compare on collapsed whitespace
         flattened = " ".join(capsys.readouterr().out.split())
         assert expected in flattened
+
+    @pytest.mark.parametrize(
+        "argv", [["baseline"], ["surrogate", "x.csv", "y.csv"]], ids=lambda a: a[0]
+    )
+    def test_no_level_flag(self, argv, capsys):
+        # every summary is a fixed 90% interval
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--level", "0.95"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --level 0.95" in capsys.readouterr().err
 
     def test_top_level_help(self, capsys):
         with pytest.raises(SystemExit) as exc:

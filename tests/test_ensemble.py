@@ -21,10 +21,10 @@ from couplemap import (
 )
 from couplemap import ensemble
 from couplemap.ensemble import (
-    DEFAULT_LEVEL,
     DEFAULT_MASTER_SEED,
     SUMMARY_COLUMNS,
     UNCOUPLED_SYSTEM,
+    Z90,
     EnsembleSummary,
     SummaryRow,
     _aggregate,
@@ -79,37 +79,25 @@ class TestDeriveSeed:
 
 class TestConfidenceInterval:
     def test_pinned_example(self):
-        mean, half_width = confidence_interval([1.0, 2.0, 3.0], 0.90)
+        mean, half_width = confidence_interval([1.0, 2.0, 3.0])
         assert mean == 2.0
         assert half_width == pytest.approx(0.9497, abs=1e-4)
 
     def test_z_value(self):
         # S = sqrt(2) and n = 2 cancel: the half-width IS the 90% Z
-        _, half_width = confidence_interval([0.0, 2.0], 0.90)
+        _, half_width = confidence_interval([0.0, 2.0])
         assert half_width == pytest.approx(1.6449, abs=1e-4)
         # S = 2 and sqrt(n) = 2 cancel exactly: the half-width is bit for
-        # bit the two-sided normal quantile
-        for level in (0.5, 0.9, 0.95, 0.99):
-            _, half_width = confidence_interval([3.0, -1.0, -1.0, -1.0], level)
-            assert half_width == norm.ppf((1.0 + level) / 2.0), level
+        # bit the two-sided 90% normal quantile
+        _, half_width = confidence_interval([3.0, -1.0, -1.0, -1.0])
+        assert half_width == Z90 == norm.ppf(0.95)
 
     def test_constant_samples(self):
-        assert confidence_interval([4.2, 4.2, 4.2], 0.90) == (4.2, 0.0)
+        assert confidence_interval([4.2, 4.2, 4.2]) == (4.2, 0.0)
 
     def test_too_few(self):
         with pytest.raises(TooFewSamples):
-            confidence_interval([1.0], 0.90)
-
-    def test_level_validated(self):
-        with pytest.raises(ValueError):
-            confidence_interval([1.0, 2.0], 0.0)
-        with pytest.raises(ValueError):
-            confidence_interval([1.0, 2.0], 1.0)
-
-    def test_wider_level_wider_interval(self):
-        _, hw90 = confidence_interval([1.0, 5.0, 2.0, 8.0], 0.90)
-        _, hw99 = confidence_interval([1.0, 5.0, 2.0, 8.0], 0.99)
-        assert hw99 > hw90
+            confidence_interval([1.0])
 
 
 class TestEnsembleConfig:
@@ -134,6 +122,12 @@ class TestEnsembleConfig:
         with pytest.raises(ValueError):
             EnsembleConfig(hurst_values=())
 
+    def test_hurst_values_need_distinct_system_names(self):
+        # fgn_h{h:g} keys the summary: a repeated name would drop a system
+        for hurst in ((0.5, 0.5), (0.1, 0.10000001)):
+            with pytest.raises(ValueError, match="share the system name 'fgn_h0."):
+                EnsembleConfig(hurst_values=hurst)
+
     def test_lag_and_seed_and_coupling(self):
         with pytest.raises(ValueError):
             EnsembleConfig(lag=0)
@@ -153,14 +147,14 @@ class TestAggregate:
             small_report(flags=("assort_coef",)),
             small_report(flags=("assort_coef", "mean_len_directed")),
         ]
-        rows = {r.measure_name: r for r in _aggregate(reports, 0.90)}
+        rows = {r.measure_name: r for r in _aggregate(reports)}
         assert rows["assort_coef"].flags == 2
         assert rows["mean_len_directed"].flags == 1
         assert rows["mean_k_total"].flags == 0
         assert rows["mean_k_total"].n == 3
 
     def test_row_per_measure(self):
-        rows = _aggregate([small_report(), small_report()], 0.90)
+        rows = _aggregate([small_report(), small_report()])
         assert tuple(r.measure_name for r in rows) == MEASURE_FIELDS
 
 
@@ -235,7 +229,7 @@ class TestRunFgnEnsemble:
         for h_index, (h, reports) in enumerate(zip(cfg.hurst_values, captured, strict=True)):
             expected = [alone(h_index, h, r) for r in range(27)]
             assert [repr(r) for r in reports] == [repr(r) for r in expected]
-            assert summary.rows(fgn_system_name(h)) == _aggregate(expected, DEFAULT_LEVEL)
+            assert summary.rows(fgn_system_name(h)) == _aggregate(expected)
 
     def test_pair_mode_differs_from_lag_mode(self):
         lag = run_fgn_ensemble(EnsembleConfig(**SMALL))
@@ -293,6 +287,13 @@ class TestRunSurrogatePair:
         with pytest.raises(TooFewSamples):
             run_surrogate_pair(x, y, replicas=1, bin_count=8)
 
+    def test_master_seed_range(self):
+        # derive_seed masks to 64 bits, so -1 would alias 2**64 - 1
+        x, y = self._pair()
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="64 unsigned bits"):
+                run_surrogate_pair(x, y, replicas=2, bin_count=8, master_seed=seed)
+
     def test_misaligned_inputs_rejected(self):
         x = index_series(np.zeros(10) + np.arange(10))
         y = TimeSeries(np.arange(5, 15), np.arange(10, dtype=np.float64))
@@ -317,7 +318,7 @@ class TestRunSurrogatePair:
             )
             for r in range(3)
         ]
-        assert a.rows("surrogate") == _aggregate(reports, DEFAULT_LEVEL)
+        assert a.rows("surrogate") == _aggregate(reports)
 
 
 class TestEnsembleSummary:
@@ -440,7 +441,7 @@ class TestRadarNormalize:
         path = tmp_path / "comparison.json"
         write_comparison_json(report, path)
         again = json.loads(path.read_text())
-        assert again["baseline"] == report.baseline
+        assert again["baseline"] == UNCOUPLED_SYSTEM
         assert again["systems"] == report.systems
         assert again["normalized"] == report.normalized
         assert again["distance_to_uncoupled"] == report.distance_to_uncoupled
