@@ -58,9 +58,11 @@ def _hurst_list(text: str) -> tuple:
 
 
 def _check_bins(bins: int, samples: int) -> None:
-    """Refuse a bin count above the number of samples to map, or one whose
-    B x B int64 weight matrix exceeds physical memory (where os.sysconf,
-    a POSIX call, reports it)."""
+    """Refuse a bin count below the measure battery's 3, one above the
+    number of samples to map, or one whose B x B int64 weight matrix
+    exceeds physical memory (where os.sysconf, a POSIX call, reports it)."""
+    if bins < 3:
+        raise ValueError("measure battery needs at least 3 bins")
     if bins > samples:
         raise TooManyBins(f"--bins {bins} exceeds the {samples} samples to map")
     if not hasattr(os, "sysconf"):
@@ -78,8 +80,8 @@ def _add_bins(p: argparse.ArgumentParser) -> None:
         "--bins",
         type=_positive_int,
         default=DEFAULT_BIN_COUNT,
-        help="amplitude bins per series; at least 2 to map, 3 to measure, "
-        "at most the number of samples mapped (default 50)",
+        help="amplitude bins per series; at least 3, at most the number of "
+        "samples mapped (default 50)",
     )
 
 

@@ -6,8 +6,10 @@ its index. Each fGn system is built and measured in stacks: its noises are
 drawn a stack of seeds at a time (synth.fgn_stacks), mapped a stack of
 rows at a time (netmap.map_lagged_rows, map_pair_rows) and measured a
 stack of networks at a time (metrics.measure_many), every array within
-the 512 KB budget of series.stack_size. Surrogate replicas are drawn and
-mapped one by one and measured in stacks. Every stage gives the results of
+the 512 KB budget of series.stack_size. Surrogate replicas are built the
+same way: the x and y surrogates are drawn in step a stack at a time
+(synth.surrogate_stacks), mapped with map_pair_rows and measured in
+stacks. Every stage gives the results of
 building each replica alone, and aggregation folds them in replica order,
 so summaries are byte-identical for a fixed config.
 """
@@ -15,6 +17,7 @@ so summaries are byte-identical for a fixed config.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -23,15 +26,9 @@ import numpy as np
 
 from .errors import IoError, MismatchedMeasureSets, ParseError, TooFewSamples
 from .metrics import MEASURE_FIELDS, measure_many
-from .netmap import (
-    DEFAULT_BIN_COUNT,
-    CouplingNetwork,
-    map_lagged_rows,
-    map_pair,
-    map_pair_rows,
-)
+from .netmap import DEFAULT_BIN_COUNT, map_lagged_rows, map_pair_rows
 from .series import AlignedPair, TimeSeries
-from .synth import fgn_stacks, surrogate
+from .synth import fgn_stacks, surrogate_stacks
 
 _MASK64 = 2**64 - 1
 
@@ -216,12 +213,13 @@ def run_surrogate_pair(
         raise TooFewSamples(f"need at least 2 replicas, got {replicas}")
     _check_master_seed(master_seed)
 
-    def network(replica: int) -> CouplingNetwork:
-        sx = surrogate(x, derive_seed(master_seed, replica, 0))
-        sy = surrogate(y, derive_seed(master_seed, replica, 1))
-        return map_pair(AlignedPair(sx, sy), bin_count=bin_count)
+    def draws(s: TimeSeries, side: int):
+        seeds = [derive_seed(master_seed, replica, side) for replica in range(replicas)]
+        return surrogate_stacks(s, seeds)
 
-    reports = measure_many(network(replica) for replica in range(replicas))
+    # map drops each pair of value stacks once map_pair_rows has binned it
+    stacks = map(map_pair_rows, draws(x, 0), draws(y, 1), itertools.repeat(bin_count))
+    reports = measure_many(itertools.chain.from_iterable(stacks))
     return EnsembleSummary({"surrogate": _aggregate(reports)})
 
 

@@ -217,24 +217,23 @@ def clustering_stats(nets) -> list:
 
 
 def _bfs_distance_sums(adj: np.ndarray) -> tuple[int, int]:
-    """(sum of finite distances, number of reachable ordered pairs i != j).
+    """(sum of finite distances, number of reachable ordered pairs i != j)
+    of a loop-free boolean adjacency.
 
     Breadth-first search from every source at once: row i of the frontier
-    holds the nodes first reached from i at the current distance.
+    holds the nodes first reached from i at the current distance. The
+    adjacency itself is the frontier at distance 1.
     """
     # only > 0 is read, and a positive sum of 0/1 products never rounds
     # to 0, so float32 keeps every distance exact at any B
     a = adj.astype(np.float32)
-    reach = np.eye(len(adj), dtype=bool)
-    frontier = reach
-    total = 0
-    count = 0
-    dist = 0
-    while True:
+    reach = adj | np.eye(len(adj), dtype=bool)
+    frontier = adj
+    total = count = hits = int(np.count_nonzero(adj))
+    dist = 1
+    while hits:
         frontier = ((frontier @ a) > 0) & ~reach
-        hits = int(frontier.sum())
-        if not hits:
-            break
+        hits = int(np.count_nonzero(frontier))
         dist += 1
         total += dist * hits
         count += hits
@@ -247,12 +246,16 @@ def path_stats(net: CouplingNetwork) -> dict:
 
     Directed means run over all ordered reachable pairs, undirected over
     connected unordered pairs of the symmetrized graph; unreachable pairs
-    are excluded rather than imputed.
+    are excluded rather than imputed. A node without an edge to or from
+    another node lies on no path, so the search runs on the other nodes
+    only (about 100 of 200 bins in a Student-t(3) map network).
     """
-    a = _binarized(net).copy()
+    a = _binarized(net)
     np.fill_diagonal(a, False)
-    if not a.any():
+    nodes = np.flatnonzero((a | a.T).any(axis=1))
+    if not len(nodes):
         raise NoEdges("no edges outside the diagonal")
+    a = a[nodes][:, nodes]  # two takes; np.ix_ indexing is slower
     d_total, d_count = _bfs_distance_sums(a)
     u_total, u_count = _bfs_distance_sums(a | a.T)
     return {

@@ -6,15 +6,18 @@ name the same node. Every time step contributes one count to the weight
 matrix W[source bin of x, target bin of y]; equal bins give self-loops.
 
 Mapping works on stacks of rows (map_pair_rows, map_lagged_rows): the rows
-are binned together and their networks counted with one bincount per
-stack of as many B x B count matrices as fit the 512 KB per-array budget
-(series.stack_size; 26 at B = 50). map_pair and map_lagged are the one-row
-case.
+are binned together, their bin indices kept in the smallest unsigned type,
+and their networks yielded as they are asked for, counted with one
+bincount per stack of as many B x B count matrices as fit the 512 KB
+per-array budget (series.stack_size; 26 at B = 50). map_pair and
+map_lagged are the one-row case.
+
+The table writers format row by row from a lookup: str or repr runs once
+per distinct value, and every cell takes its value's text.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,34 +70,54 @@ def bin_indices(values: np.ndarray, bin_count: int) -> np.ndarray:
     return np.clip(np.floor(scaled).astype(np.int64), 0, bin_count - 1)
 
 
-def _networks(xi: np.ndarray, yi: np.ndarray, bin_count: int) -> list:
-    """One network per row pair of bin indices: W[k] counts (xi[k, t], yi[k, t])."""
+def _compact_indices(values: np.ndarray, bin_count: int) -> np.ndarray:
+    """bin_indices in the smallest unsigned type that holds B - 1 (one byte
+    up to B = 256), so a stack's indices take a fraction of its values'
+    memory and the values can be dropped once binned."""
+    return bin_indices(values, bin_count).astype(np.min_scalar_type(bin_count - 1))
+
+
+def _networks(xi: np.ndarray, yi: np.ndarray, bin_count: int):
+    """Yield one network per row pair of bin indices: W[k] counts (xi[k, t], yi[k, t]).
+
+    Networks are counted one bincount stack at a time, so a consumer that
+    measures and drops them holds one stack of count matrices, not all.
+    """
     cells = bin_count * bin_count
-    nets = []
     size = stack_size(cells)
     for start in range(0, len(xi), size):
         x, y = xi[start : start + size], yi[start : start + size]
         offsets = cells * np.arange(len(x))[:, None]
-        flat = np.bincount((offsets + x * bin_count + y).ravel(), minlength=len(x) * cells)
-        weights = flat.reshape(len(x), bin_count, bin_count)
-        nets += [CouplingNetwork(bin_count, w, x.shape[1]) for w in weights]
-    return nets
+        flat = np.bincount(
+            (offsets + np.multiply(x, bin_count, dtype=np.int64) + y).ravel(),
+            minlength=len(x) * cells,
+        )
+        for w in flat.reshape(len(x), bin_count, bin_count):
+            yield CouplingNetwork(bin_count, w, x.shape[1])
 
 
-def map_pair_rows(x: np.ndarray, y: np.ndarray, bin_count: int) -> list:
-    """map_pair for each row pair of two (k, N) value stacks, one network each."""
+def map_pair_rows(x: np.ndarray, y: np.ndarray, bin_count: int):
+    """map_pair for each row pair of two (k, N) value stacks, yielded one by one.
+
+    The rows are binned at once; their networks are counted as they are
+    asked for."""
     if np.shape(x) != np.shape(y):
         raise ValueError(f"value stacks differ in shape: {np.shape(x)} and {np.shape(y)}")
-    return _networks(bin_indices(x, bin_count), bin_indices(y, bin_count), bin_count)
+    return _networks(
+        _compact_indices(x, bin_count), _compact_indices(y, bin_count), bin_count
+    )
 
 
-def map_lagged_rows(values: np.ndarray, lag: int, bin_count: int) -> list:
-    """map_lagged for each row of a (k, N) value stack, one network each."""
+def map_lagged_rows(values: np.ndarray, lag: int, bin_count: int):
+    """map_lagged for each row of a (k, N) value stack, yielded one by one.
+
+    The rows are binned at once; their networks are counted as they are
+    asked for."""
     if lag < 1:
         raise ValueError("lag must be >= 1")
     if lag >= values.shape[1]:
         raise LagTooLarge(f"lag {lag} >= series length {values.shape[1]}")
-    idx = bin_indices(values, bin_count)
+    idx = _compact_indices(values, bin_count)
     return _networks(idx[:, :-lag], idx[:, lag:], bin_count)
 
 
@@ -127,34 +150,48 @@ def joint_probability(net: CouplingNetwork) -> np.ndarray:
     return net.weights / net.sample_count
 
 
-def write_adjacency_tsv(net: CouplingNetwork, path) -> None:
-    """Dense B x B integer matrix, one tab-separated row per source bin."""
+def _texts(values: np.ndarray, fmt, texts: dict) -> list:
+    """fmt of each value of a 1-D array, looked up in texts.
+
+    texts maps a value's int64 bits (so -0.0 and 0.0 keep their own text)
+    to fmt of the value; values not in it yet are formatted and added, so
+    fmt runs once per distinct value across calls that share texts.
+    """
+    keys = (values.view(np.int64) if values.dtype == np.float64 else values).tolist()
+    try:
+        return list(map(texts.__getitem__, keys))
+    except KeyError:
+        texts.update((k, fmt(v)) for k, v in zip(keys, values.tolist()) if k not in texts)
+        return list(map(texts.__getitem__, keys))
+
+
+def _write_tsv(matrix: np.ndarray, fmt, path) -> None:
+    texts = {}
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for row in net.weights.tolist():
-                fh.write("\t".join(map(str, row)) + "\n")
+            for row in matrix:
+                fh.write("\t".join(_texts(row, fmt, texts)) + "\n")
     except OSError as exc:
         raise IoError(str(path)) from exc
+
+
+def write_adjacency_tsv(net: CouplingNetwork, path) -> None:
+    """Dense B x B integer matrix, one tab-separated row per source bin."""
+    _write_tsv(net.weights, str, path)
 
 
 def write_edge_list_csv(net: CouplingNetwork, path) -> None:
     """Sparse (source, target, weight) rows, sorted by source then target."""
     src, dst = np.nonzero(net.weights)
+    cells = iter(_texts(np.stack([src, dst, net.weights[src, dst]], axis=1).ravel(), str, {}))
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["source", "target", "weight"])
-            for i, j in zip(src, dst):
-                writer.writerow([int(i), int(j), int(net.weights[i, j])])
+            fh.write("source,target,weight\r\n")
+            fh.writelines(f"{i},{j},{w}\r\n" for i, j, w in zip(cells, cells, cells))
     except OSError as exc:
         raise IoError(str(path)) from exc
 
 
 def write_joint_tsv(p: np.ndarray, path) -> None:
     """Dense B x B probability matrix in the adjacency layout."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in np.asarray(p, dtype=np.float64).tolist():
-                fh.write("\t".join(map(repr, row)) + "\n")
-    except OSError as exc:
-        raise IoError(str(path)) from exc
+    _write_tsv(np.asarray(p, dtype=np.float64), repr, path)

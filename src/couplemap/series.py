@@ -3,8 +3,8 @@
 A :class:`TimeSeries` is an immutable pair of (strictly increasing timestamp
 labels, finite float amplitudes) plus a ``kind`` tag recording where the
 values sit in the fixed pipeline ``raw -> log-return -> standardized``.
-Timestamps are either ISO calendar dates (kept as strings, which sort
-chronologically) or plain integer indices.
+Timestamps are either YYYY-MM-DD calendar dates (kept as strings, which
+sort chronologically) or plain integer indices.
 """
 
 from __future__ import annotations
@@ -129,6 +129,13 @@ def _parse_timestamp(token: str, column: str, line_no: int):
     token = token.strip()
     try:
         if column == "date":
+            # YYYY-MM-DD only: the stored token must name its day one way,
+            # so that equal days align and string order is date order.
+            # From Python 3.11 fromisoformat also reads 20000103 and
+            # 2000-W01-1; given ten characters with dashes at 4 and 7 it
+            # takes ASCII digits of a real day only.
+            if len(token) != 10 or token[4] != "-" or token[7] != "-":
+                raise ValueError(token)
             datetime.date.fromisoformat(token)
             return token
         return int(token)
@@ -149,13 +156,14 @@ def _parse_value(token: str, line_no: int) -> float:
 def load_csv(path, value_column: str) -> TimeSeries:
     """Read a two-plus-column CSV into a raw TimeSeries.
 
-    The header must name a timestamp column (``date`` for ISO-8601 dates or
-    ``t`` for integer indices) and the requested ``value_column``. Rows may
-    arrive in any order; the result is sorted by timestamp. Duplicate
-    timestamps are rejected.
+    The header must name a timestamp column (``date`` for YYYY-MM-DD dates
+    or ``t`` for integer indices) and the requested ``value_column``, each
+    once; a leading UTF-8 byte-order mark is skipped. Rows may arrive in
+    any order; the result is sorted by timestamp. Duplicate timestamps are
+    rejected.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise IoError(str(path)) from exc
@@ -172,6 +180,9 @@ def load_csv(path, value_column: str) -> TimeSeries:
         raise ParseError("header must name a 'date' or 't' column")
     if value_column not in header:
         raise ParseError(f"header has no column {value_column!r}")
+    for name in (ts_column, value_column):
+        if header.count(name) > 1:
+            raise ParseError(f"header names column {name!r} more than once")
     ts_idx = header.index(ts_column)
     val_idx = header.index(value_column)
 

@@ -10,7 +10,9 @@ budget (series.stack_size; 8 rows at N = 2000). generate_fgn is the
 one-seed stack, and each row equals that seed's generate_fgn draw bit for
 bit. Surrogates randomize the phases of the Fourier transform while
 keeping every amplitude bin, so the linear structure survives and the
-distribution Gaussianizes.
+distribution Gaussianizes. They too are drawn in stacks (surrogate_stacks:
+one forward FFT per input, one batched inverse FFT per stack), and
+surrogate is the one-seed stack.
 """
 
 from __future__ import annotations
@@ -124,22 +126,57 @@ def generate_fgn(spec: FgnSpec) -> TimeSeries:
     return index_series(values[0], kind=KIND_STANDARDIZED)
 
 
+def _surrogate_rows(s: TimeSeries, coeffs: np.ndarray, amplitude: np.ndarray, seeds):
+    """irfft of coeffs with bins 1..len(amplitude) set to amplitude times
+    each seed's uniform phases, one checked row per seed; the spectrum and
+    other temporaries die on return."""
+    hi = len(amplitude) + 1
+    spectrum = np.empty((len(seeds), len(coeffs)), dtype=np.complex128)
+    spectrum[:] = coeffs
+    phases = spectrum[:, 1:hi]
+    for row, seed in zip(phases, seeds):
+        eta = np.random.default_rng(seed).uniform(-math.pi, math.pi, size=hi - 1)
+        np.multiply(1j, eta, out=row)
+    np.exp(phases, out=phases)
+    phases *= amplitude
+    values = np.fft.irfft(spectrum, n=len(s))
+    check_values(values, s.kind)
+    return values
+
+
+def surrogate_stacks(s: TimeSeries, seeds):
+    """Phase-randomized copies of s for seeds, yielded as (k, len(s)) stacks.
+
+    The input's forward transform and amplitudes are taken once, and each
+    stack takes one batched inverse transform: np.fft.irfft sets up its
+    plan on every call, and at a prime N such as 2447 that Bluestein set-up
+    costs more than transforming one row. Row i is the values of
+    surrogate(s, seed_i), bit for bit, and every row passes the checks of
+    s.kind. A stack holds as many rows as keep their working set, about 4N
+    float64 cells a row (complex half spectrum, values and the check's
+    temporary), within the per-array budget (series.stack_size; 6 rows at
+    N = 2447). The generator keeps no reference to a stack it has yielded.
+    """
+    seeds = [_check_seed(seed) for seed in seeds]
+    n = len(s)
+    if n < 4:
+        raise LengthTooShort(f"surrogate needs at least 4 points, got {n}")
+    coeffs = np.fft.rfft(s.values)
+    hi = len(coeffs) - 1 if n % 2 == 0 else len(coeffs)
+    amplitude = np.abs(coeffs[1:hi])
+    size = stack_size(4 * n)
+    for start in range(0, len(seeds), size):
+        yield _surrogate_rows(s, coeffs, amplitude, seeds[start : start + size])
+
+
 def surrogate(s: TimeSeries, seed: int) -> TimeSeries:
     """Phase-randomized copy preserving the full amplitude spectrum.
 
     The DC bin and, for even length, the Nyquist bin are untouched, so the
     output is real with the input's exact mean and population variance. The
     remaining phases are i.i.d. uniform on (-pi, pi]; Hermitian symmetry
-    comes from working on the half spectrum.
+    comes from working on the half spectrum. This is the one-seed stack of
+    surrogate_stacks.
     """
-    _check_seed(seed)
-    n = len(s)
-    if n < 4:
-        raise LengthTooShort(f"surrogate needs at least 4 points, got {n}")
-    coeffs = np.fft.rfft(s.values)
-    hi = len(coeffs) - 1 if n % 2 == 0 else len(coeffs)
-    rng = np.random.default_rng(seed)
-    eta = rng.uniform(-math.pi, math.pi, size=hi - 1)
-    coeffs[1:hi] = np.abs(coeffs[1:hi]) * np.exp(1j * eta)
-    values = np.fft.irfft(coeffs, n=n)
-    return TimeSeries(s.timestamps.copy(), values, kind=s.kind)
+    (values,) = surrogate_stacks(s, [seed])
+    return TimeSeries(s.timestamps.copy(), values[0], kind=s.kind)

@@ -160,6 +160,22 @@ class TestBinsGuard:
         samples = {"map": 239, "map-lag": 248, "surrogate": 239, "baseline": 64}[command]
         assert stderr == f"TooManyBins:--bins 100000 exceeds the {samples} samples to map\n"
 
+    @pytest.mark.parametrize("command", ["map", "map-lag", "surrogate", "baseline"])
+    def test_below_three(self, command, market_csvs, tmp_path, capsys, no_bincount):
+        x, y = market_csvs
+        inputs = {
+            "map": [x, y],
+            "map-lag": [x],
+            "surrogate": [x, y, "--replicas", "2"],
+            "baseline": ["--hurst", "0.5", "--replicas", "2", "--length", "64"],
+        }[command]
+        out = tmp_path / "o"
+        code, stdout, stderr = run_cli(capsys, command, *inputs, "--bins", "2", "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "ValueError:measure battery needs at least 3 bins\n"
+        assert not out.exists()
+
     def test_beyond_physical_memory(self, market_csvs, tmp_path, capsys, monkeypatch, no_bincount):
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
@@ -368,7 +384,7 @@ class TestHelp:
     @pytest.mark.parametrize(
         ("command", "expected"),
         [
-            ("map", "at least 2 to map"),
+            ("map", "at least 3, at most the number of samples mapped"),
             ("map-lag", "less than the series length"),
             ("baseline", "in (0, 1)"),
             ("surrogate", "at least 2"),

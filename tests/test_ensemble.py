@@ -320,6 +320,28 @@ class TestRunSurrogatePair:
         ]
         assert a.rows("surrogate") == _aggregate(reports)
 
+    @pytest.mark.parametrize("n, replicas", [(2447, 7), (2000, 9)])
+    def test_stacks_equal_replicas_built_alone(self, n, replicas):
+        # surrogates are drawn 6 rows a stack at the prime N = 2447 and 8 at
+        # N = 2000, so both replica counts cross a stack boundary
+        rng = np.random.default_rng(n)
+        x = index_series(rng.standard_t(3, size=n))
+        y = index_series(rng.standard_t(3, size=n))
+        summary = run_surrogate_pair(x, y, replicas=replicas, bin_count=50, master_seed=9)
+        reports = [
+            measure_all(
+                map_pair(
+                    AlignedPair(
+                        surrogate(x, derive_seed(9, r, 0)),
+                        surrogate(y, derive_seed(9, r, 1)),
+                    ),
+                    bin_count=50,
+                )
+            )
+            for r in range(replicas)
+        ]
+        assert repr(summary.rows("surrogate")) == repr(_aggregate(reports))
+
 
 class TestEnsembleSummary:
     def test_vector_and_row(self):

@@ -79,6 +79,27 @@ def measured_weights(kind: str, bins: int, seed: int = 11) -> np.ndarray:
     return map_pair(pair, bin_count=bins).weights
 
 
+def networkx_path_means(w) -> dict:
+    """path_stats' two means from networkx's shortest paths, loops dropped."""
+    nx = pytest.importorskip("networkx")
+    directed = nx.DiGraph()
+    directed.add_nodes_from(range(len(w)))
+    directed.add_edges_from(zip(*np.nonzero(w)))
+    directed.remove_edges_from(list(nx.selfloop_edges(directed)))
+
+    def mean_path(graph):
+        total = count = 0
+        for _, lengths in nx.all_pairs_shortest_path_length(graph):
+            total += sum(lengths.values())
+            count += len(lengths) - 1
+        return total / count
+
+    return {
+        "mean_len_directed": mean_path(directed),
+        "mean_len_undirected": mean_path(directed.to_undirected()),
+    }
+
+
 class TestSchema:
     def test_table_has_twenty_measures(self):
         assert len(TABLE_FIELDS) == 20
@@ -322,6 +343,45 @@ class TestPathStats:
         p = path_stats(edges_net(3, [(0, 1), (1, 2)]))
         assert p["mean_len_directed"] == pytest.approx((1 + 1 + 2) / 3)
         assert p["mean_len_undirected"] == pytest.approx((1 + 1 + 2) / 3)
+
+    @pytest.mark.parametrize("seed", [11, 15, 19, 27])
+    def test_networkx_on_student_t_map_networks(self, seed):
+        w = measured_weights("student-t", 200, seed)
+        a = w > 0
+        np.fill_diagonal(a, False)
+        # heavy tails leave about half of the 200 bins without an edge
+        assert (a.any(axis=0) | a.any(axis=1)).sum() < 120
+        # both sides divide the same two integer sums
+        assert path_stats(net_from(w)) == networkx_path_means(w)
+
+    def test_networkx_with_edgeless_nodes(self, rng):
+        # out-only 0, in-only 2 and 5, a node with only a self-loop (3)
+        # and an isolated node (4)
+        w = np.zeros((6, 6), dtype=np.int64)
+        for i, j in [(0, 1), (1, 2), (1, 5), (3, 3)]:
+            w[i, j] = 1
+        graphs = [w]
+        # random graphs spread over a larger bin range, the other bins
+        # empty or holding only a self-loop
+        for _ in range(40):
+            small = random_weights(rng)
+            b = len(small) + int(rng.integers(1, 6))
+            nodes = np.sort(rng.choice(b, len(small), replace=False))
+            w = np.zeros((b, b), dtype=np.int64)
+            w[np.ix_(nodes, nodes)] = small
+            empty = np.setdiff1d(np.arange(b), nodes)
+            loops = empty[rng.random(len(empty)) < 0.5]
+            w[loops, loops] = 3
+            graphs.append(w)
+        checked = 0
+        for w in graphs:
+            a = w > 0
+            np.fill_diagonal(a, False)
+            if not a.any():
+                continue
+            assert path_stats(net_from(w)) == networkx_path_means(w)
+            checked += 1
+        assert checked > 30
 
     def test_undirected_bounded_by_directed_when_strongly_connected(self, rng):
         checked = 0
@@ -698,13 +758,6 @@ class TestNetworkxDifferential:
         directed.remove_edges_from(list(nx.selfloop_edges(directed)))
         undirected = directed.to_undirected()
 
-        def mean_path(graph):
-            total = count = 0
-            for _, lengths in nx.all_pairs_shortest_path_length(graph):
-                total += sum(lengths.values())
-                count += len(lengths) - 1
-            return total / count
-
         def mean_clustering(graph):
             return np.mean(list(nx.clustering(graph).values()))
 
@@ -713,8 +766,7 @@ class TestNetworkxDifferential:
             "cl_global": nx.transitivity(undirected),
             "cl_local_undirected_mean": mean_clustering(undirected),
             "cl_local_directed_mean": mean_clustering(directed),
-            "mean_len_directed": mean_path(directed),
-            "mean_len_undirected": mean_path(undirected),
+            **networkx_path_means(w),
         }
         for name, value in expected.items():
             assert_close(getattr(report, name), value, name)

@@ -1,5 +1,7 @@
 """Bin discretization and coupling-network construction contracts."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,15 +201,16 @@ class TestMapLagged:
 
 
 class TestRowStacks:
-    # 26 count matrices of B = 50 fit one stack and 2 of B = 181, so 27 and
-    # 3 rows cross a stack boundary
-    @pytest.mark.parametrize("bins, rows", [(50, 27), (181, 3)])
+    # 26 count matrices of B = 50 fit one stack, 2 of B = 181 and 1 of
+    # B = 300, so each row count crosses a stack boundary; bin indices take
+    # one byte up to B = 256 and two above
+    @pytest.mark.parametrize("bins, rows", [(50, 27), (181, 3), (300, 2)])
     def test_rows_equal_one_by_one(self, rng, bins, rows):
         x = rng.normal(size=(rows, 400))
         y = rng.standard_t(3, size=(rows, 400))
         x[1] = 2.5  # a constant row puts every value in bin 0
-        lagged = map_lagged_rows(x, 2, bins)
-        paired = map_pair_rows(x, y, bins)
+        lagged = list(map_lagged_rows(x, 2, bins))
+        paired = list(map_pair_rows(x, y, bins))
         assert len(lagged) == len(paired) == rows
         for k in range(rows):
             one = map_lagged(index_series(x[k]), lag=2, bin_count=bins)
@@ -216,7 +219,33 @@ class TestRowStacks:
             one = map_pair(pair_of(x[k], y[k]), bin_count=bins)
             assert np.array_equal(paired[k].weights, one.weights)
             assert paired[k].sample_count == one.sample_count == 400
+            # against counts made one time step at a time
+            xi, yi = bin_indices(x[k], bins), bin_indices(y[k], bins)
+            for net, src, dst in [(lagged[k], xi[:-2], xi[2:]), (paired[k], xi, yi)]:
+                counts = np.zeros((bins, bins), dtype=np.int64)
+                np.add.at(counts, (src, dst), 1)
+                assert np.array_equal(net.weights, counts)
         assert lagged[1].weights[0, 0] == 398
+
+    def test_rows_yield_lazily(self, rng, monkeypatch):
+        # one B = 200 count matrix per stack, so each network takes one
+        # bincount, made only when the network is asked for
+        counted = []
+        bincount = np.bincount
+
+        def counting(*args, **kwargs):
+            counted.append(1)
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counting)
+        x = rng.normal(size=(3, 400))
+        for nets in (map_pair_rows(x, x[::-1], 200), map_lagged_rows(x, 1, 200)):
+            counted.clear()
+            assert counted == []
+            next(nets)
+            assert len(counted) == 1
+            assert len(list(nets)) == 2
+            assert len(counted) == 3
 
     def test_rows_shapes_checked(self):
         with pytest.raises(ValueError, match="shape"):
@@ -283,3 +312,63 @@ class TestExports:
         write_joint_tsv(jp, path)
         back = np.loadtxt(path, ndmin=2)
         assert np.array_equal(back, jp)
+
+
+def reference_rows(matrix, fmt) -> str:
+    """The dense layout formatted cell by cell."""
+    return "".join("\t".join(map(fmt, row)) + "\n" for row in matrix.tolist())
+
+
+def reference_edges(w) -> str:
+    """The edge list written cell by cell through the csv module."""
+    lines = []
+
+    class Sink:
+        write = lines.append
+
+    writer = csv.writer(Sink())
+    writer.writerow(["source", "target", "weight"])
+    for i, j in zip(*np.nonzero(w)):
+        writer.writerow([int(i), int(j), int(w[i, j])])
+    return "".join(lines)
+
+
+class TestWriterBytes:
+    """The lookup-table writers give the bytes of per-cell str / repr."""
+
+    def weight_matrices(self, rng):
+        heavy = rng.standard_t(3, size=(2, 2447))
+        yield map_pair(pair_of(heavy[0], heavy[1]), bin_count=200).weights
+        yield map_pair(pair_of([1, 2, 3, 1], [1, 3, 3, 2]), bin_count=3).weights
+        yield np.zeros((4, 4), dtype=np.int64)
+        yield np.array([[30_000_000, 0], [7, 2**40]], dtype=np.int64).T
+        for _ in range(10):
+            yield random_weights(rng)
+
+    def test_integer_tables(self, rng, tmp_path):
+        for w in self.weight_matrices(rng):
+            net = CouplingNetwork(len(w), w, int(w.sum()))
+            write_adjacency_tsv(net, tmp_path / "adjacency.tsv")
+            write_edge_list_csv(net, tmp_path / "edges.csv")
+            with open(tmp_path / "adjacency.tsv", "rb") as fh:
+                assert fh.read() == reference_rows(w, str).encode()
+            with open(tmp_path / "edges.csv", "rb") as fh:
+                assert fh.read() == reference_edges(w).encode()
+
+    def test_probability_tables(self, rng, tmp_path):
+        odd = np.array(
+            [
+                [0.0, -0.0, 0.1 + 0.2, 5e-324],
+                [np.nan, np.inf, -np.inf, 1 / 3],
+                [1e300, -1e-300, 0.3, 2.0**-1074],
+                [1.0, 0.5, 0.25, -0.0],
+            ]
+        )
+        matrices = [odd, odd.T, rng.random((7, 7)), np.zeros((3, 3))]
+        matrices += [
+            joint_probability(net_from(w)) for w in self.weight_matrices(rng) if w.any()
+        ]
+        for p in matrices:
+            write_joint_tsv(p, tmp_path / "joint.tsv")
+            with open(tmp_path / "joint.tsv", "rb") as fh:
+                assert fh.read() == reference_rows(p, repr).encode()

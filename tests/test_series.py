@@ -130,6 +130,29 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="row 3"):
             load_csv(p, "value")
 
+    @pytest.mark.parametrize("token", ["20000103", "2000-W01-1"])
+    def test_other_iso_spellings_refused(self, tmp_path, token):
+        # Python 3.11's date.fromisoformat reads both as 2000-01-03; stored
+        # as written they would neither align with nor sort among
+        # YYYY-MM-DD dates
+        p = tmp_path / "a.csv"
+        p.write_text(f"date,value\n2000-01-04,1.0\n{token},2.0\n")
+        with pytest.raises(ParseError, match=f"row 3: bad timestamp '{token}'"):
+            load_csv(p, "value")
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_bytes("date,value\n2000-01-03,1.0\n2000-01-04,2.0\n".encode("utf-8-sig"))
+        s = load_csv(p, "value")
+        assert list(s.timestamps) == ["2000-01-03", "2000-01-04"]
+
+    @pytest.mark.parametrize("header", ["date,value,value", "date,value,date"])
+    def test_repeated_column_refused(self, tmp_path, header):
+        p = tmp_path / "a.csv"
+        p.write_text(f"{header}\n2000-01-03,1.0,5.0\n2000-01-04,2.0,6.0\n")
+        with pytest.raises(ParseError, match="more than once"):
+            load_csv(p, "value")
+
     def test_missing_value_column(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("t,price\n0,1.0\n1,2.0\n")

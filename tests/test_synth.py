@@ -8,7 +8,7 @@ import pytest
 import oracles
 
 from couplemap import LengthTooShort, surrogate
-from couplemap.series import KIND_STANDARDIZED, index_series
+from couplemap.series import KIND_STANDARDIZED, TimeSeries, index_series, standardize
 from couplemap.synth import (
     FgnSpec,
     _circulant_fgn,
@@ -16,6 +16,7 @@ from couplemap.synth import (
     fgn_autocovariance,
     fgn_stacks,
     generate_fgn,
+    surrogate_stacks,
 )
 
 
@@ -34,6 +35,16 @@ def one_draw(hurst: float, n: int, seed: int) -> np.ndarray:
     v = (v - v.mean()) / v.std()
     v -= v.mean()
     return v
+
+
+def one_surrogate(s: TimeSeries, seed: int) -> np.ndarray:
+    """Reference surrogate: one forward and one inverse FFT per seed."""
+    n = len(s)
+    coeffs = np.fft.rfft(s.values)
+    hi = len(coeffs) - 1 if n % 2 == 0 else len(coeffs)
+    eta = np.random.default_rng(seed).uniform(-math.pi, math.pi, size=hi - 1)
+    coeffs[1:hi] = np.abs(coeffs[1:hi]) * np.exp(1j * eta)
+    return np.fft.irfft(coeffs, n=n)
 
 
 def sample_acf(values: np.ndarray, lag: int) -> float:
@@ -241,6 +252,42 @@ class TestSurrogate:
             kurts.append(abs(kurtosis(out)))
         assert np.mean(skews) < 0.15
         assert np.mean(kurts) < 0.3
+
+    # a stack holds the rows of 4N cells that fit 2**16 (4096 at N = 4, 6
+    # at N = 2447), so each count takes a stack boundary; 2447 is prime and
+    # 2449 = 31 * 79, so their transforms take Bluestein's algorithm
+    @pytest.mark.parametrize(
+        "n, sizes",
+        [
+            (4, [4096, 1]),
+            (5, [3276, 1]),
+            (16, [1024, 1]),
+            (2000, [8, 8, 1]),
+            (2447, [6, 6, 1]),
+            (2449, [6, 1]),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["raw", "standardized"])
+    def test_stacked_draws_equal_one_by_one(self, n, sizes, kind):
+        s = index_series(np.random.default_rng(n).standard_t(3, size=n))
+        if kind == "standardized":
+            s = standardize(s)
+        seeds = [2**63 + 977 * r for r in range(sum(sizes))]
+        stacks = list(surrogate_stacks(s, seeds))
+        assert [len(stack) for stack in stacks] == sizes
+        for row, seed in zip(np.concatenate(stacks), seeds):
+            assert row.tobytes() == one_surrogate(s, seed).tobytes()
+        for seed in seeds[:: max(1, len(seeds) // 8)]:
+            out = surrogate(s, seed)
+            assert out.values.tobytes() == one_surrogate(s, seed).tobytes()
+            assert out.kind == s.kind
+
+    def test_stacked_draws_checked(self):
+        s = index_series(np.arange(16.0))
+        with pytest.raises(ValueError):
+            next(surrogate_stacks(s, [1, 2**64]))
+        with pytest.raises(LengthTooShort):
+            next(surrogate_stacks(index_series([1.0, 2.0, 3.0]), [1]))
 
     def test_linear_structure_preserved(self):
         n = 2000
