@@ -15,7 +15,7 @@ from .ensemble import (
     read_summary_csv,
     run_fgn_ensemble,
     run_surrogate_pair,
-    write_comparison_json,
+    write_json,
     write_summary_csv,
 )
 from .errors import (
@@ -100,9 +100,9 @@ __all__ = [
     "standardize",
     "surrogate",
     "write_adjacency_tsv",
-    "write_comparison_json",
     "write_csv",
     "write_edge_list_csv",
     "write_joint_tsv",
+    "write_json",
     "write_summary_csv",
 ]

@@ -24,10 +24,10 @@ from .ensemble import (
     read_summary_csv,
     run_fgn_ensemble,
     run_surrogate_pair,
-    write_comparison_json,
+    write_json,
     write_summary_csv,
 )
-from .errors import CoupleMapError, IoError, ParseError, TooManyBins
+from .errors import CoupleMapError, IoError, ParseError, TooManyBins, opened
 from .metrics import MeasureReport, measure_all
 from .netmap import (
     DEFAULT_BIN_COUNT,
@@ -116,9 +116,14 @@ def _add_seed(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _out_dir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
+def _out_dir(path: str) -> str:
+    """Create the --out directory; called once a command's flags and inputs
+    are checked, before anything is drawn, mapped or measured."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"{path}: {exc.strerror or exc}") from exc
+    return path
 
 
 def _write_network_files(net, out_dir: str) -> list:
@@ -129,17 +134,8 @@ def _write_network_files(net, out_dir: str) -> list:
     write_adjacency_tsv(net, adjacency)
     write_edge_list_csv(net, edges)
     write_joint_tsv(joint_probability(net), joint)
-    _write_report_json(measure_all(net), measures)
+    write_json(measure_all(net).to_dict(), measures)
     return [adjacency, edges, joint, measures]
-
-
-def _write_report_json(report: MeasureReport, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-            handle.write("\n")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
 
 
 def _load_aligned(x_csv: str, y_csv: str, column: str, mode: str) -> AlignedPair:
@@ -151,16 +147,17 @@ def _load_aligned(x_csv: str, y_csv: str, column: str, mode: str) -> AlignedPair
 def cmd_map(args) -> list:
     pair = _load_aligned(args.x_csv, args.y_csv, args.column, args.preprocess)
     _check_bins(args.bins, pair.common_length)
-    net = map_pair(pair, bin_count=args.bins)
-    return _write_network_files(net, _out_dir(args))
+    out_dir = _out_dir(args.out)
+    return _write_network_files(map_pair(pair, bin_count=args.bins), out_dir)
 
 
 def cmd_map_lag(args) -> list:
     series = prepare(load_csv(args.csv, args.column), mode=args.preprocess)
     if args.lag < len(series):  # a longer lag is map_lagged's LagTooLarge
         _check_bins(args.bins, len(series) - args.lag)
+    out_dir = _out_dir(args.out)
     net = map_lagged(series, lag=args.lag, bin_count=args.bins)
-    return _write_network_files(net, _out_dir(args))
+    return _write_network_files(net, out_dir)
 
 
 def cmd_baseline(args) -> list:
@@ -173,15 +170,15 @@ def cmd_baseline(args) -> list:
         master_seed=args.seed,
     )
     _check_bins(args.bins, args.length)
-    summary = run_fgn_ensemble(cfg)
-    path = os.path.join(_out_dir(args), "baseline_summary.csv")
-    write_summary_csv(summary, path)
+    path = os.path.join(_out_dir(args.out), "baseline_summary.csv")
+    write_summary_csv(run_fgn_ensemble(cfg), path)
     return [path]
 
 
 def cmd_surrogate(args) -> list:
     pair = _load_aligned(args.x_csv, args.y_csv, args.column, args.preprocess)
     _check_bins(args.bins, pair.common_length)
+    path = os.path.join(_out_dir(args.out), "surrogate_summary.csv")
     summary = run_surrogate_pair(
         pair.x,
         pair.y,
@@ -189,18 +186,14 @@ def cmd_surrogate(args) -> list:
         bin_count=args.bins,
         master_seed=args.seed,
     )
-    out_dir = _out_dir(args)
-    path = os.path.join(out_dir, "surrogate_summary.csv")
     write_summary_csv(summary, path)
     return [path]
 
 
 def _load_report_vector(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with opened(path) as handle:
             data = json.load(handle)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
@@ -221,10 +214,9 @@ def cmd_compare(args) -> list:
         if name in systems:
             raise ValueError(f"duplicate system name {name!r} in {item!r}")
         systems[name] = _load_report_vector(path)
-    report = radar_normalize(systems)
-    out_dir = _out_dir(args)
-    path = os.path.join(out_dir, "comparison.json")
-    write_comparison_json(report, path)
+    comparison = radar_normalize(systems)
+    path = os.path.join(_out_dir(args.out), "comparison.json")
+    write_json(comparison, path)
     return [path]
 
 

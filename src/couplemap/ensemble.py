@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IoError, MismatchedMeasureSets, ParseError, TooFewSamples
+from .errors import MismatchedMeasureSets, ParseError, TooFewSamples, opened
 from .metrics import MEASURE_FIELDS, measure_many
 from .netmap import DEFAULT_BIN_COUNT, map_lagged_rows, map_pair_rows
 from .series import AlignedPair, TimeSeries
-from .synth import fgn_stacks, surrogate_stacks
+from .synth import check_seed, fgn_stacks, surrogate_stacks
 
 _MASK64 = 2**64 - 1
 
@@ -58,11 +58,6 @@ def derive_seed(master_seed: int, stream: int, index: int) -> int:
     z = master_seed & _MASK64
     z = mix(z ^ (stream & _MASK64))
     return mix(z ^ (index & _MASK64))
-
-
-def _check_master_seed(master_seed: int) -> None:
-    if not 0 <= master_seed <= _MASK64:
-        raise ValueError("master_seed must fit in 64 unsigned bits")
 
 
 def confidence_interval(samples) -> tuple[float, float]:
@@ -112,7 +107,7 @@ class EnsembleConfig:
             )
         if self.lag < 1:
             raise ValueError(f"lag must be at least 1, got {self.lag}")
-        _check_master_seed(self.master_seed)
+        object.__setattr__(self, "master_seed", check_seed(self.master_seed))
         if self.coupling not in (COUPLING_LAG, COUPLING_PAIR):
             raise ValueError(f"unknown coupling mode {self.coupling!r}")
 
@@ -211,7 +206,7 @@ def run_surrogate_pair(
     AlignedPair(x, y)
     if replicas < 2:
         raise TooFewSamples(f"need at least 2 replicas, got {replicas}")
-    _check_master_seed(master_seed)
+    master_seed = check_seed(master_seed)
 
     def draws(s: TimeSeries, side: int):
         seeds = [derive_seed(master_seed, replica, side) for replica in range(replicas)]
@@ -223,27 +218,11 @@ def run_surrogate_pair(
     return EnsembleSummary({"surrogate": _aggregate(reports)})
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Raw and min-max-normalized measure vectors plus radar distances to
-    UNCOUPLED_SYSTEM."""
-
-    systems: dict
-    normalized: dict
-    distance_to_uncoupled: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "baseline": UNCOUPLED_SYSTEM,
-            "systems": self.systems,
-            "normalized": self.normalized,
-            "distance_to_uncoupled": self.distance_to_uncoupled,
-        }
-
-
-def radar_normalize(systems: dict) -> ComparisonReport:
+def radar_normalize(systems: dict) -> dict:
     """Min-max rescale each measure across systems; distances to UNCOUPLED_SYSTEM.
 
+    Returns the comparison.json dict: baseline (UNCOUPLED_SYSTEM), systems
+    (the raw measure vectors), normalized and distance_to_uncoupled.
     All-equal measures normalize to 0.5 everywhere. distance_to_uncoupled is
     the Euclidean distance between a system's normalized vector and
     UNCOUPLED_SYSTEM's.
@@ -277,68 +256,61 @@ def radar_normalize(systems: dict) -> ComparisonReport:
         )
         for name in names
     }
-    return ComparisonReport(
-        systems={name: dict(systems[name]) for name in names},
-        normalized=normalized,
-        distance_to_uncoupled=distances,
-    )
+    return {
+        "baseline": UNCOUPLED_SYSTEM,
+        "systems": {name: dict(systems[name]) for name in names},
+        "normalized": normalized,
+        "distance_to_uncoupled": distances,
+    }
 
 
 SUMMARY_COLUMNS = ("system", "measure_name", "mean", "half_width", "n", "flags")
 
 
 def write_summary_csv(summary: EnsembleSummary, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(SUMMARY_COLUMNS)
-            for system in summary.system_names():
-                for row in summary.rows(system):
-                    writer.writerow(
-                        [
-                            system,
-                            row.measure_name,
-                            repr(row.mean),
-                            repr(row.half_width),
-                            row.n,
-                            row.flags,
-                        ]
-                    )
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    with opened(path, "w") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(SUMMARY_COLUMNS)
+        for system in summary.system_names():
+            for row in summary.rows(system):
+                writer.writerow(
+                    [
+                        system,
+                        row.measure_name,
+                        repr(row.mean),
+                        repr(row.half_width),
+                        row.n,
+                        row.flags,
+                    ]
+                )
 
 
 def read_summary_csv(path) -> EnsembleSummary:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
+    with opened(path) as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty summary file") from None
+        if tuple(header) != SUMMARY_COLUMNS:
+            raise ParseError(f"{path}: unexpected header {header}")
+        systems: dict = {}
+        for lineno, record in enumerate(reader, start=2):
+            if len(record) != len(SUMMARY_COLUMNS):
+                raise ParseError(f"{path}:{lineno}: wrong column count")
+            system, name, mean, half_width, n, flags = record
             try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(f"{path}: empty summary file") from None
-            if tuple(header) != SUMMARY_COLUMNS:
-                raise ParseError(f"{path}: unexpected header {header}")
-            systems: dict = {}
-            for lineno, record in enumerate(reader, start=2):
-                if len(record) != len(SUMMARY_COLUMNS):
-                    raise ParseError(f"{path}:{lineno}: wrong column count")
-                system, name, mean, half_width, n, flags = record
-                try:
-                    row = SummaryRow(
-                        name, float(mean), float(half_width), int(n), int(flags)
-                    )
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
-                systems.setdefault(system, []).append(row)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+                row = SummaryRow(
+                    name, float(mean), float(half_width), int(n), int(flags)
+                )
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            systems.setdefault(system, []).append(row)
     return EnsembleSummary({name: tuple(rows) for name, rows in systems.items()})
 
 
-def write_comparison_json(report: ComparisonReport, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-            handle.write("\n")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+def write_json(data: dict, path) -> None:
+    """data as JSON indented by two spaces, with a final newline."""
+    with opened(path, "w") as handle:
+        json.dump(data, handle, indent=2)
+        handle.write("\n")

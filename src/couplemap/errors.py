@@ -2,8 +2,12 @@
 
 Every error the library raises subclasses :class:`CoupleMapError`, and the
 class name doubles as the machine-parsable error kind printed by the CLI
-(``Kind:detail``).
+(``Kind:detail``). Every file the package reads or writes is opened through
+:func:`opened`, so a file error names its file in that one line.
 """
+
+import contextlib
+import csv
 
 
 class CoupleMapError(Exception):
@@ -76,3 +80,20 @@ class TooFewSamples(CoupleMapError):
 
 class MismatchedMeasureSets(CoupleMapError):
     """Systems under comparison do not share one measure-name set."""
+
+
+@contextlib.contextmanager
+def opened(path, mode: str = "r", encoding: str = "utf-8"):
+    """open(path, mode, encoding=encoding, newline="") with file-named errors.
+
+    An OSError, on opening or inside the block, becomes
+    IoError("<path>: <strerror>"); a csv.Error or UnicodeDecodeError inside
+    the block becomes ParseError("<path>: <detail>").
+    """
+    try:
+        with open(path, mode, encoding=encoding, newline="") as handle:
+            yield handle
+    except OSError as exc:
+        raise IoError(f"{path}: {exc.strerror or exc}") from exc
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc

@@ -38,38 +38,11 @@ import numpy as np
 from .errors import (
     DegenerateDegrees,
     EmptyDistribution,
-    EmptyNetwork,
     InvalidPartition,
     NoEdges,
 )
 from .netmap import CouplingNetwork, joint_probability
 from .series import stack_size
-
-#: MeasureReport schema, in report order. The first twenty names are the
-#: radar measures; degree_concentration rides along as the 21st field.
-TABLE_FIELDS = (
-    "mean_sq_k_total",
-    "mean_sq_k_out",
-    "mean_sq_k_in",
-    "mean_k_total",
-    "mean_k_out",
-    "mean_k_in",
-    "std_k_total",
-    "cl_global_std",
-    "cl_local_undirected_mean",
-    "cl_local_directed_mean",
-    "cl_global",
-    "scalar_assort_var",
-    "mean_len_directed",
-    "mean_len_undirected",
-    "deformation_R",
-    "assort_var",
-    "assort_coef",
-    "scalar_assort_coef",
-    "modularity_total_degree",
-    "modularity_out_degree",
-)
-MEASURE_FIELDS = TABLE_FIELDS + ("degree_concentration",)
 
 _ASSORT_FIELDS = ("scalar_assort_var", "assort_var", "assort_coef", "scalar_assort_coef")
 _PATH_FIELDS = ("mean_len_directed", "mean_len_undirected")
@@ -126,7 +99,7 @@ def degree_stats(nets) -> list:
     One dict of report fields per network of a list sharing one bin count
     (ValueError otherwise), computed a stack at a time (see _stacks). A
     self-loop counts once in the out-degree and once in the in-degree of
-    its node. The concentration ratio <k>^2 / <k^2> is 0 for an empty graph.
+    its node.
     """
     stats = []
     for stack in _stacks(nets):
@@ -143,7 +116,7 @@ def degree_stats(nets) -> list:
                 "mean_k_out": out,
                 "mean_k_in": in_,
                 "std_k_total": std,
-                "degree_concentration": tot**2 / sq_tot if sq_tot > 0 else 0.0,
+                "degree_concentration": tot**2 / sq_tot,
             }
             for sq_tot, sq_out, sq_in, tot, out, in_, std in zip(
                 (k_tot.astype(np.float64) ** 2).mean(axis=1).tolist(),
@@ -568,9 +541,6 @@ def detect_communities(nets) -> list:
     """
     labels = []
     for stack in _stacks(nets):
-        for net in stack:
-            if int(net.weights.sum()) == 0:
-                raise NoEdges("cannot detect communities without edges")
         if len(stack) >= _STACK_MIN and all(
             (2 * net.sample_count) ** 2 < 2**53 for net in stack
         ):
@@ -590,8 +560,6 @@ def modularity_stats(net: CouplingNetwork, partition) -> dict:
     labels = np.asarray(partition, dtype=np.int64)
     if labels.shape != (net.bin_count,):
         raise InvalidPartition("partition must label every node")
-    if int(net.weights.sum()) == 0:
-        raise NoEdges("modularity of an edgeless network is undefined")
     same = labels[:, None] == labels[None, :]
 
     s = (net.weights + net.weights.T).astype(np.float64)
@@ -644,9 +612,7 @@ class MeasureReport:
         return {name: getattr(self, name) for name in MEASURE_FIELDS}
 
     def to_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in MEASURE_FIELDS}
-        out["bin_count"] = self.bin_count
-        out["sample_count"] = self.sample_count
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["flags"] = list(self.flags)
         return out
 
@@ -654,6 +620,12 @@ class MeasureReport:
     def from_dict(cls, data: dict) -> "MeasureReport":
         kwargs = {f.name: data[f.name] for f in fields(cls) if f.name != "flags"}
         return cls(flags=tuple(data.get("flags", ())), **kwargs)
+
+
+#: MeasureReport schema, in report order. The first twenty names are the
+#: radar measures; degree_concentration rides along as the 21st field.
+MEASURE_FIELDS = tuple(f.name for f in fields(MeasureReport))[:21]
+TABLE_FIELDS = MEASURE_FIELDS[:20]
 
 
 def measure_all(net: CouplingNetwork) -> MeasureReport:
@@ -674,11 +646,8 @@ def measure_many(nets) -> list:
     """
     reports = []
     for stack in _stacks(nets):
-        for net in stack:
-            if net.sample_count <= 0:
-                raise EmptyNetwork("cannot measure an empty network")
-            if net.bin_count < 3:
-                raise ValueError("measure battery needs at least 3 bins")
+        if stack[0].bin_count < 3:  # _stacks gives one bin count
+            raise ValueError("measure battery needs at least 3 bins")
         reports += map(
             _report,
             stack,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyNetwork, IoError, LagTooLarge
+from .errors import EmptyNetwork, LagTooLarge, opened
 from .series import AlignedPair, TimeSeries, stack_size
 
 DEFAULT_BIN_COUNT = 50
@@ -33,7 +33,8 @@ class CouplingNetwork:
     """Weighted directed bin-co-occurrence network.
 
     ``weights[i, j]`` counts time steps with x in bin i and y in bin j;
-    the diagonal holds self-loops. All entries sum to ``sample_count``.
+    the diagonal holds self-loops. All entries sum to ``sample_count``,
+    which is at least 1.
     """
 
     bin_count: int
@@ -48,6 +49,8 @@ class CouplingNetwork:
             raise ValueError("weights must be non-negative")
         if int(w.sum()) != self.sample_count:
             raise ValueError("weights must sum to sample_count")
+        if self.sample_count < 1:
+            raise EmptyNetwork("a network needs at least one sample")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -145,8 +148,6 @@ def map_lagged(
 
 def joint_probability(net: CouplingNetwork) -> np.ndarray:
     """W / N, the B x B joint distribution of (x bin, y bin)."""
-    if net.sample_count <= 0:
-        raise EmptyNetwork("network has no samples")
     return net.weights / net.sample_count
 
 
@@ -167,12 +168,9 @@ def _texts(values: np.ndarray, fmt, texts: dict) -> list:
 
 def _write_tsv(matrix: np.ndarray, fmt, path) -> None:
     texts = {}
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in matrix:
-                fh.write("\t".join(_texts(row, fmt, texts)) + "\n")
-    except OSError as exc:
-        raise IoError(str(path)) from exc
+    with opened(path, "w") as fh:
+        for row in matrix:
+            fh.write("\t".join(_texts(row, fmt, texts)) + "\n")
 
 
 def write_adjacency_tsv(net: CouplingNetwork, path) -> None:
@@ -184,12 +182,9 @@ def write_edge_list_csv(net: CouplingNetwork, path) -> None:
     """Sparse (source, target, weight) rows, sorted by source then target."""
     src, dst = np.nonzero(net.weights)
     cells = iter(_texts(np.stack([src, dst, net.weights[src, dst]], axis=1).ravel(), str, {}))
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("source,target,weight\r\n")
-            fh.writelines(f"{i},{j},{w}\r\n" for i, j, w in zip(cells, cells, cells))
-    except OSError as exc:
-        raise IoError(str(path)) from exc
+    with opened(path, "w") as fh:
+        fh.write("source,target,weight\r\n")
+        fh.writelines(f"{i},{j},{w}\r\n" for i, j, w in zip(cells, cells, cells))
 
 
 def write_joint_tsv(p: np.ndarray, path) -> None:

@@ -19,11 +19,11 @@ import numpy as np
 from .errors import (
     DuplicateTimestamp,
     EmptyIntersection,
-    IoError,
     NonPositiveValue,
     ParseError,
     WrongKind,
     ZeroVariance,
+    opened,
 )
 
 KIND_RAW = "raw"
@@ -162,11 +162,8 @@ def load_csv(path, value_column: str) -> TimeSeries:
     any order; the result is sorted by timestamp. Duplicate timestamps are
     rejected.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise IoError(str(path)) from exc
+    with opened(path, encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))
     if not rows:
         raise ParseError("empty file")
     header = [h.strip() for h in rows[0]]
@@ -211,14 +208,11 @@ def load_csv(path, value_column: str) -> TimeSeries:
 def write_csv(series: TimeSeries, path, value_column: str = "value") -> None:
     """Write a series in the same CSV dialect load_csv reads."""
     ts_column = "date" if series.timestamps.dtype.kind in ("U", "S", "O") else "t"
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([ts_column, value_column])
-            for t, v in zip(series.timestamps, series.values):
-                writer.writerow([t, repr(float(v))])
-    except OSError as exc:
-        raise IoError(str(path)) from exc
+    with opened(path, "w") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([ts_column, value_column])
+        for t, v in zip(series.timestamps, series.values):
+            writer.writerow([t, repr(float(v))])
 
 
 def align_pair(a: TimeSeries, b: TimeSeries) -> AlignedPair:

@@ -35,7 +35,9 @@ from .series import (
 _MAX_SEED = 2**64
 
 
-def _check_seed(seed: int) -> int:
+def check_seed(seed: int) -> int:
+    """seed as an int, if it is an integer in [0, 2**64); TypeError or
+    ValueError otherwise."""
     if not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
     if not 0 <= seed < _MAX_SEED:
@@ -53,7 +55,7 @@ class FgnSpec:
 
     def __post_init__(self) -> None:
         _check_shape(self.hurst, self.length)
-        _check_seed(self.seed)
+        check_seed(self.seed)
 
 
 def _check_shape(hurst: float, length: int) -> None:
@@ -110,7 +112,7 @@ def fgn_stacks(hurst: float, length: int, seeds):
     the standardized-series checks (finite, mean 0 and std 1 within 1e-9).
     """
     _check_shape(hurst, length)
-    seeds = [_check_seed(seed) for seed in seeds]
+    seeds = [check_seed(seed) for seed in seeds]
     acov = fgn_autocovariance(hurst, length)
     eig = np.clip(_embedding_eigenvalues(acov), 0.0, None)
     size = stack_size(4 * length)  # the complex spectrum of 2N per seed
@@ -157,7 +159,7 @@ def surrogate_stacks(s: TimeSeries, seeds):
     temporary), within the per-array budget (series.stack_size; 6 rows at
     N = 2447). The generator keeps no reference to a stack it has yielded.
     """
-    seeds = [_check_seed(seed) for seed in seeds]
+    seeds = [check_seed(seed) for seed in seeds]
     n = len(s)
     if n < 4:
         raise LengthTooShort(f"surrogate needs at least 4 points, got {n}")

@@ -238,8 +238,8 @@ def test_criterion_8_market_reproduction():
             "djia_ssec": djia_ssec.as_vector(),
         }
     )
-    d_sp500 = radar.distance_to_uncoupled["djia_sp500"]
-    d_ssec = radar.distance_to_uncoupled["djia_ssec"]
+    d_sp500 = radar["distance_to_uncoupled"]["djia_sp500"]
+    d_ssec = radar["distance_to_uncoupled"]["djia_ssec"]
     elapsed = time.perf_counter() - start
     ok = (
         djia_sp500.deformation_R > djia_ssec.deformation_R > noise_floor

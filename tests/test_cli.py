@@ -7,8 +7,15 @@ import numpy as np
 import pytest
 
 from conftest import write_series_csv
+from couplemap import cli
 from couplemap.cli import main
-from couplemap.ensemble import read_summary_csv
+from couplemap.ensemble import (
+    SUMMARY_COLUMNS,
+    EnsembleSummary,
+    SummaryRow,
+    read_summary_csv,
+    write_summary_csv,
+)
 from couplemap.metrics import MEASURE_FIELDS, MeasureReport
 
 
@@ -66,7 +73,7 @@ class TestMap:
         code, stdout, stderr = run_cli(capsys, "map", str(missing), present)
         assert code == 1
         assert stdout == ""
-        assert stderr == f"IoError:{missing}\n"
+        assert stderr == f"IoError:{missing}: No such file or directory\n"
 
     def test_disjoint_calendars(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -287,7 +294,7 @@ class TestSurrogateAndCompare:
         )
         assert code == 1
         assert stdout == ""
-        assert stderr == "ValueError:master_seed must fit in 64 unsigned bits\n"
+        assert stderr == f"ValueError:seed must fit in 64 unsigned bits, got {seed}\n"
 
     def test_full_compare(self, pipeline_dirs, tmp_path, capsys):
         base_dir, sur_dir, map_dir = pipeline_dirs
@@ -378,6 +385,100 @@ class TestSurrogateAndCompare:
         )
         assert code == 1
         assert stderr.startswith("ParseError:")
+
+
+def assert_file_error(result, kind, path):
+    """Exit 1, nothing on stdout, one `Kind:<path>: detail` line on stderr."""
+    code, stdout, stderr = result
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith(f"{kind}:{path}: "), stderr
+    assert stderr.count("\n") == 1 and stderr.endswith("\n")
+
+
+class TestFileBoundary:
+    """Every file error names its file in the one error line."""
+
+    @pytest.fixture
+    def summary_csv(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        rows = (SummaryRow("mean_k_total", 1.0, 0.1, 2),)
+        write_summary_csv(EnsembleSummary({"fgn_h0.5": rows}), path)
+        return path
+
+    def test_csv_field_over_limit_map(self, market_csvs, tmp_path, capsys):
+        x, _ = market_csvs
+        big = tmp_path / "big.csv"
+        big.write_text("t,value\n0," + "1" * 131_073 + "\n1,2.0\n")
+        result = run_cli(capsys, "map", str(big), x, "--out", str(tmp_path / "o"))
+        assert_file_error(result, "ParseError", big)
+        assert "field larger than field limit" in result[2]
+
+    def test_csv_field_over_limit_compare(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text(",".join(SUMMARY_COLUMNS) + "\n" + "s" * 131_073 + "\n")
+        result = run_cli(
+            capsys, "compare", "--baseline", str(big), "--out", str(tmp_path / "o")
+        )
+        assert_file_error(result, "ParseError", big)
+
+    def test_non_utf8_csv(self, market_csvs, tmp_path, capsys):
+        x, _ = market_csvs
+        latin = tmp_path / "latin.csv"
+        latin.write_bytes("t,valeur_\xe9\n0,1.0\n1,2.0\n".encode("latin-1"))
+        result = run_cli(capsys, "map", str(latin), x, "--out", str(tmp_path / "o"))
+        assert_file_error(result, "ParseError", latin)
+        assert "can't decode" in result[2]
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["map", "baseline"])
+    def test_out_names_a_file(self, command, under, market_csvs, tmp_path, capsys, monkeypatch):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "sub" if under else blocker
+        step, argv = {
+            "map": ("map_pair", ["map", *market_csvs]),
+            "baseline": ("run_fgn_ensemble", ["baseline", "--replicas", "2", "--length", "64"]),
+        }[command]
+
+        def work(*args, **kwargs):
+            raise AssertionError(f"{step} ran before --out was checked")
+
+        monkeypatch.setattr(cli, step, work)
+        result = run_cli(capsys, *argv, "--bins", "4", "--out", str(out))
+        assert_file_error(result, "IoError", out)
+        assert blocker.read_text() == ""
+
+    def test_missing_input_csv(self, market_csvs, tmp_path, capsys):
+        x, _ = market_csvs
+        missing = tmp_path / "absent.csv"
+        result = run_cli(capsys, "map-lag", str(missing), "--out", str(tmp_path))
+        assert_file_error(result, "IoError", missing)
+        result = run_cli(capsys, "surrogate", x, str(missing), "--out", str(tmp_path))
+        assert_file_error(result, "IoError", missing)
+
+    def test_missing_summary_csv(self, summary_csv, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        result = run_cli(
+            capsys, "compare", "--baseline", str(summary_csv),
+            "--surrogate", str(missing), "--out", str(tmp_path / "o"),
+        )
+        assert_file_error(result, "IoError", missing)
+
+    def test_missing_report_json(self, summary_csv, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        result = run_cli(
+            capsys, "compare", f"m={missing}", "--baseline", str(summary_csv),
+            "--out", str(tmp_path / "o"),
+        )
+        assert_file_error(result, "IoError", missing)
+
+    def test_directory_in_place_of_output_file(self, market_csvs, tmp_path, capsys):
+        x, y = market_csvs
+        out = tmp_path / "out"
+        (out / "adjacency.tsv").mkdir(parents=True)
+        result = run_cli(capsys, "map", x, y, "--bins", "6", "--out", str(out))
+        assert_file_error(result, "IoError", out / "adjacency.tsv")
 
 
 class TestHelp:

@@ -16,7 +16,7 @@ from couplemap import (
     read_summary_csv,
     run_fgn_ensemble,
     run_surrogate_pair,
-    write_comparison_json,
+    write_json,
     write_summary_csv,
 )
 from couplemap import ensemble
@@ -133,6 +133,8 @@ class TestEnsembleConfig:
             EnsembleConfig(lag=0)
         with pytest.raises(ValueError):
             EnsembleConfig(master_seed=2**64)
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            EnsembleConfig(master_seed=1.5)
         with pytest.raises(ValueError):
             EnsembleConfig(coupling="mutual")
 
@@ -294,6 +296,11 @@ class TestRunSurrogatePair:
             with pytest.raises(ValueError, match="64 unsigned bits"):
                 run_surrogate_pair(x, y, replicas=2, bin_count=8, master_seed=seed)
 
+    def test_master_seed_must_be_an_integer(self):
+        x, y = self._pair()
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            run_surrogate_pair(x, y, replicas=2, bin_count=8, master_seed=1.5)
+
     def test_misaligned_inputs_rejected(self):
         x = index_series(np.zeros(10) + np.arange(10))
         y = TimeSeries(np.arange(5, 15), np.arange(10, dtype=np.float64))
@@ -410,8 +417,8 @@ class TestRadarNormalize:
                 "market": self._vec(a=3.0, b=2.0),
             }
         )
-        assert sorted(report.normalized[UNCOUPLED_SYSTEM].values()) == [0.0, 1.0]
-        assert sorted(report.normalized["market"].values()) == [0.0, 1.0]
+        assert sorted(report["normalized"][UNCOUPLED_SYSTEM].values()) == [0.0, 1.0]
+        assert sorted(report["normalized"]["market"].values()) == [0.0, 1.0]
 
     def test_three_values_rescale_linearly(self):
         report = radar_normalize(
@@ -421,16 +428,16 @@ class TestRadarNormalize:
                 "high": self._vec(m=3.0),
             }
         )
-        assert report.normalized[UNCOUPLED_SYSTEM]["m"] == 0.0
-        assert report.normalized["mid"]["m"] == 0.5
-        assert report.normalized["high"]["m"] == 1.0
+        assert report["normalized"][UNCOUPLED_SYSTEM]["m"] == 0.0
+        assert report["normalized"]["mid"]["m"] == 0.5
+        assert report["normalized"]["high"]["m"] == 1.0
 
     def test_all_equal_normalizes_to_half(self):
         report = radar_normalize(
             {UNCOUPLED_SYSTEM: self._vec(m=7.0), "other": self._vec(m=7.0)}
         )
-        assert report.normalized["other"]["m"] == 0.5
-        assert report.distance_to_uncoupled["other"] == 0.0
+        assert report["normalized"]["other"]["m"] == 0.5
+        assert report["distance_to_uncoupled"]["other"] == 0.0
 
     def test_identity_distance_zero(self):
         report = radar_normalize(
@@ -440,9 +447,9 @@ class TestRadarNormalize:
                 "far": self._vec(a=9.0, b=-2.0),
             }
         )
-        assert report.distance_to_uncoupled["twin"] == 0.0
-        assert report.distance_to_uncoupled[UNCOUPLED_SYSTEM] == 0.0
-        assert report.distance_to_uncoupled["far"] == pytest.approx(math.sqrt(2.0))
+        assert report["distance_to_uncoupled"]["twin"] == 0.0
+        assert report["distance_to_uncoupled"][UNCOUPLED_SYSTEM] == 0.0
+        assert report["distance_to_uncoupled"]["far"] == pytest.approx(math.sqrt(2.0))
 
     def test_mismatched_sets_rejected(self):
         with pytest.raises(MismatchedMeasureSets):
@@ -461,9 +468,8 @@ class TestRadarNormalize:
             {UNCOUPLED_SYSTEM: self._vec(a=1.0), "other": self._vec(a=2.0)}
         )
         path = tmp_path / "comparison.json"
-        write_comparison_json(report, path)
+        write_json(report, path)
         again = json.loads(path.read_text())
+        assert list(again) == ["baseline", "systems", "normalized", "distance_to_uncoupled"]
         assert again["baseline"] == UNCOUPLED_SYSTEM
-        assert again["systems"] == report.systems
-        assert again["normalized"] == report.normalized
-        assert again["distance_to_uncoupled"] == report.distance_to_uncoupled
+        assert again == report

@@ -10,7 +10,6 @@ import oracles
 from conftest import edges_net, net_from, random_weights, special_weight_matrices
 from couplemap import (
     DegenerateDegrees,
-    EmptyNetwork,
     InvalidPartition,
     NoEdges,
     joint_probability,
@@ -30,7 +29,7 @@ from couplemap.metrics import (
     modularity_stats,
     path_stats,
 )
-from couplemap.netmap import CouplingNetwork, map_lagged, map_pair
+from couplemap.netmap import map_lagged, map_pair
 from couplemap.series import AlignedPair, index_series
 from couplemap.synth import FgnSpec, generate_fgn, surrogate
 
@@ -216,12 +215,6 @@ class TestDegreeStats:
         assert_close(d["std_k_total"], math.sqrt(2.0 / 3.0), "std_k_total")
         assert d["mean_k_out"] == d["mean_k_in"] == 1.0
         assert_close(d["degree_concentration"], 4.0 / (14.0 / 3.0), "degree_concentration")
-
-    def test_empty_graph(self):
-        net = CouplingNetwork(3, np.zeros((3, 3), dtype=np.int64), 0)
-        d = degree_stats([net])[0]
-        assert d["mean_k_total"] == d["std_k_total"] == 0.0
-        assert d["degree_concentration"] == 0.0
 
     def test_complete_with_self_loops(self):
         b = 4
@@ -496,10 +489,6 @@ class TestCommunities:
         q = modularity_stats(net, labels)["modularity_total_degree"]
         assert_close(q, best_q, "greedy q matches the exhaustive optimum")
 
-    def test_edgeless_rejected(self):
-        with pytest.raises(NoEdges):
-            detect_communities([CouplingNetwork(3, np.zeros((3, 3), dtype=np.int64), 0)])
-
     def test_deterministic_tie_breaking(self, rng):
         # tied best gains; merging the last tied pair first changes the labels
         tied = np.array(
@@ -585,11 +574,6 @@ class TestModularity:
         with pytest.raises(InvalidPartition):
             modularity_stats(net, np.array([0, 1]))
 
-    def test_edgeless_rejected(self):
-        net = CouplingNetwork(3, np.zeros((3, 3), dtype=np.int64), 0)
-        with pytest.raises(NoEdges):
-            modularity_stats(net, np.zeros(3, dtype=np.int64))
-
 
 class TestMeasureAll:
     def test_four_step_example_network(self):
@@ -605,10 +589,6 @@ class TestMeasureAll:
         assert report.bin_count == 3
         assert report.sample_count == 4
         assert_matches_oracle(net.weights)
-
-    def test_empty_network_rejected(self):
-        with pytest.raises(EmptyNetwork):
-            measure_all(CouplingNetwork(3, np.zeros((3, 3), dtype=np.int64), 0))
 
     def test_needs_three_bins(self):
         with pytest.raises(ValueError):

@@ -97,6 +97,10 @@ class TestCouplingNetwork:
         with pytest.raises(ValueError):
             CouplingNetwork(3, np.zeros((2, 2), dtype=int), 0)
 
+    def test_empty_network_rejected(self):
+        with pytest.raises(EmptyNetwork):
+            CouplingNetwork(3, np.zeros((3, 3), dtype=np.int64), 0)
+
     def test_weights_read_only(self):
         net = CouplingNetwork(2, np.array([[1, 0], [0, 1]]), 2)
         with pytest.raises(ValueError):
@@ -270,11 +274,6 @@ class TestJointProbability:
         assert sorted(jp[jp > 0]) == [0.25, 0.25, 0.25, 0.25]
         assert jp.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_empty_network(self):
-        net = CouplingNetwork(3, np.zeros((3, 3), dtype=np.int64), 0)
-        with pytest.raises(EmptyNetwork):
-            joint_probability(net)
-
     def test_probability_validation(self, rng):
         # every mapped network normalizes to a distribution over B x B cells
         for _ in range(25):
@@ -340,7 +339,6 @@ class TestWriterBytes:
         heavy = rng.standard_t(3, size=(2, 2447))
         yield map_pair(pair_of(heavy[0], heavy[1]), bin_count=200).weights
         yield map_pair(pair_of([1, 2, 3, 1], [1, 3, 3, 2]), bin_count=3).weights
-        yield np.zeros((4, 4), dtype=np.int64)
         yield np.array([[30_000_000, 0], [7, 2**40]], dtype=np.int64).T
         for _ in range(10):
             yield random_weights(rng)
@@ -366,7 +364,7 @@ class TestWriterBytes:
         )
         matrices = [odd, odd.T, rng.random((7, 7)), np.zeros((3, 3))]
         matrices += [
-            joint_probability(net_from(w)) for w in self.weight_matrices(rng) if w.any()
+            joint_probability(net_from(w)) for w in self.weight_matrices(rng)
         ]
         for p in matrices:
             write_joint_tsv(p, tmp_path / "joint.tsv")

@@ -116,7 +116,7 @@ class TestLoadCsv:
         missing = tmp_path / "nope.csv"
         with pytest.raises(IoError) as exc:
             load_csv(missing, "value")
-        assert str(exc.value) == str(missing)
+        assert str(exc.value) == f"{missing}: No such file or directory"
 
     def test_bad_value_reports_row(self, tmp_path):
         p = tmp_path / "a.csv"
