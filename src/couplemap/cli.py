@@ -1,10 +1,10 @@
 """Command-line surface: map, map-lag, baseline, surrogate, compare.
 
-Every subcommand validates numeric flags against the owning module's
-preconditions before any work starts (--bins against the number of samples
-to map and physical memory, before any B x B array exists), prints the
-written file paths on stdout, and reports failures as a single
-`Kind:detail` line on stderr with exit code 1.
+Every subcommand prints the written file paths on stdout and reports any
+failure, a usage error included, as a single `Kind:detail` line on stderr
+with exit code 1. Each numeric flag is checked once, by the module that
+owns it (--bins here, against the number of samples to map and physical
+memory, before any B x B array exists).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import os
 import sys
 
 from .ensemble import (
+    DEFAULT_HURST_VALUES,
     DEFAULT_LAG,
     DEFAULT_MASTER_SEED,
     DEFAULT_REPLICAS,
@@ -40,14 +41,12 @@ from .netmap import (
 )
 from .series import AlignedPair, align_pair, load_csv, prepare
 
-_HURST_DEFAULT = "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, main's one-line exit 1, not exit 2."""
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _hurst_list(text: str) -> tuple:
@@ -78,7 +77,7 @@ def _check_bins(bins: int, samples: int) -> None:
 def _add_bins(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--bins",
-        type=_positive_int,
+        type=int,
         default=DEFAULT_BIN_COUNT,
         help="amplitude bins per series; at least 3, at most the number of "
         "samples mapped (default 50)",
@@ -221,7 +220,7 @@ def cmd_compare(args) -> list:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="couplemap",
         description="Map coupled time-series onto directed networks and "
         "benchmark their measures against noise baselines.",
@@ -241,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("csv", help="CSV of the series")
     p.add_argument(
         "--lag",
-        type=_positive_int,
+        type=int,
         default=DEFAULT_LAG,
         help="lag in steps; at least 1 and less than the series length (default 1)",
     )
@@ -255,25 +254,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--hurst",
         type=_hurst_list,
-        default=_hurst_list(_HURST_DEFAULT),
+        default=DEFAULT_HURST_VALUES,
         help="comma list of Hurst exponents, each in (0, 1) "
-        f"(default {_HURST_DEFAULT})",
+        f"(default {','.join(map(str, DEFAULT_HURST_VALUES))})",
     )
     p.add_argument(
         "--replicas",
-        type=_positive_int,
+        type=int,
         default=DEFAULT_REPLICAS,
         help="noise draws per Hurst value; at least 2 (default 32)",
     )
     p.add_argument(
         "--length",
-        type=_positive_int,
+        type=int,
         default=DEFAULT_SERIES_LENGTH,
         help="points per draw; at least 64 (default 2000)",
     )
     p.add_argument(
         "--lag",
-        type=_positive_int,
+        type=int,
         default=DEFAULT_LAG,
         help="self-coupling lag; at least 1 (default 1)",
     )
@@ -287,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("y_csv", help="CSV of the target series")
     p.add_argument(
         "--replicas",
-        type=_positive_int,
+        type=int,
         default=DEFAULT_REPLICAS,
         help="surrogate draws; at least 2 (default 32)",
     )
@@ -315,12 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         written = args.fn(args)
-    except (CoupleMapError, ValueError, TypeError, KeyError) as exc:
-        detail = str(exc).replace("\n", " ")
-        print(f"{type(exc).__name__}:{detail}", file=sys.stderr)
+    except (CoupleMapError, ValueError, TypeError, KeyError, MemoryError) as exc:
+        # NumPy raises a private MemoryError subclass; print the public name
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"{kind}:{exc}".replace("\n", " "), file=sys.stderr)
         return 1
     for path in written:
         print(path)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchedMeasureSets, ParseError, TooFewSamples, opened
+from .errors import LagTooLarge, MismatchedMeasureSets, ParseError, TooFewSamples, opened
 from .metrics import MEASURE_FIELDS, measure_many
 from .netmap import DEFAULT_BIN_COUNT, map_lagged_rows, map_pair_rows
 from .series import AlignedPair, TimeSeries
@@ -107,6 +107,8 @@ class EnsembleConfig:
             )
         if self.lag < 1:
             raise ValueError(f"lag must be at least 1, got {self.lag}")
+        if self.lag >= self.series_length:
+            raise LagTooLarge(f"lag {self.lag} >= series length {self.series_length}")
         object.__setattr__(self, "master_seed", check_seed(self.master_seed))
         if self.coupling not in (COUPLING_LAG, COUPLING_PAIR):
             raise ValueError(f"unknown coupling mode {self.coupling!r}")

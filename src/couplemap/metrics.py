@@ -625,7 +625,6 @@ class MeasureReport:
 #: MeasureReport schema, in report order. The first twenty names are the
 #: radar measures; degree_concentration rides along as the 21st field.
 MEASURE_FIELDS = tuple(f.name for f in fields(MeasureReport))[:21]
-TABLE_FIELDS = MEASURE_FIELDS[:20]
 
 
 def measure_all(net: CouplingNetwork) -> MeasureReport:

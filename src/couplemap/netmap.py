@@ -60,13 +60,18 @@ def bin_indices(values: np.ndarray, bin_count: int) -> np.ndarray:
 
     index = floor(B * (v - min) / (max - min)), clamped so the maximum maps
     to bin B-1. A degenerate range (max == min) puts everything in bin 0.
-    A 2-D array is binned row by row, each row over its own range.
+    A 2-D array is binned row by row, each row over its own range. A row
+    whose B * (max - min) is not finite is refused with ValueError, since
+    its indices would overflow to nonsense.
     """
     if bin_count < 2:
         raise ValueError("bin_count must be >= 2")
     values = np.asarray(values, dtype=np.float64)
     lo = values.min(axis=-1, keepdims=True)
-    span = values.max(axis=-1, keepdims=True) - lo
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = values.max(axis=-1, keepdims=True) - lo
+        if not np.isfinite(bin_count * span).all():
+            raise ValueError(f"value range times {bin_count} bins is out of the float range")
     scaled = np.divide(
         bin_count * (values - lo), span, out=np.zeros_like(values), where=span != 0
     )

@@ -139,9 +139,12 @@ def _surrogate_rows(s: TimeSeries, coeffs: np.ndarray, amplitude: np.ndarray, se
     for row, seed in zip(phases, seeds):
         eta = np.random.default_rng(seed).uniform(-math.pi, math.pi, size=hi - 1)
         np.multiply(1j, eta, out=row)
-    np.exp(phases, out=phases)
-    phases *= amplitude
-    values = np.fft.irfft(spectrum, n=len(s))
+    # amplitudes near the float limit can overflow; check_values refuses
+    # the non-finite rows that result, so NumPy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.exp(phases, out=phases)
+        phases *= amplitude
+        values = np.fft.irfft(spectrum, n=len(s))
     check_values(values, s.kind)
     return values
 
@@ -163,7 +166,8 @@ def surrogate_stacks(s: TimeSeries, seeds):
     n = len(s)
     if n < 4:
         raise LengthTooShort(f"surrogate needs at least 4 points, got {n}")
-    coeffs = np.fft.rfft(s.values)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _surrogate_rows
+        coeffs = np.fft.rfft(s.values)
     hi = len(coeffs) - 1 if n % 2 == 0 else len(coeffs)
     amplitude = np.abs(coeffs[1:hi])
     size = stack_size(4 * n)

@@ -481,6 +481,118 @@ class TestFileBoundary:
         assert_file_error(result, "IoError", out / "adjacency.tsv")
 
 
+class TestOneFailurePath:
+    """Usage errors, flag owners' refusals and memory errors leave through
+    the one error line with exit 1."""
+
+    @pytest.mark.parametrize(
+        ("argv", "detail"),
+        [
+            (["map", "X", "Y", "--bins", "0"], "measure battery needs at least 3 bins"),
+            (["map", "X", "Y", "--bins", "abc"], "argument --bins: invalid int value"),
+            (["map", "X", "Y", "--preprocess", "logs"], "argument --preprocess: invalid choice"),
+            (["baseline", "--hurst", "0.5,abc"], "argument --hurst: bad hurst list"),
+            (["baseline", "--seed", "1.5"], "argument --seed: invalid int value"),
+            (["baseline", "--level", "0.95"], "unrecognized arguments: --level 0.95"),
+            (["map"], "the following arguments are required: x_csv, y_csv"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=[
+            "bins-0", "bins-abc", "preprocess", "hurst", "seed", "level", "no-inputs",
+            "no-command",
+        ],
+    )
+    def test_usage_error(self, argv, detail, market_csvs, tmp_path, capsys):
+        x, y = market_csvs
+        out = tmp_path / "o"
+        argv = [{"X": x, "Y": y}.get(arg, arg) for arg in argv]
+        code, stdout, stderr = run_cli(capsys, *argv, *(["--out", str(out)] if argv else []))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("ValueError:") and detail in stderr
+        assert stderr.count("\n") == 1 and stderr.endswith("\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("argv", "line"),
+        [
+            (["map-lag", "X", "--lag", "0"], "ValueError:lag must be >= 1"),
+            (["map-lag", "X", "--lag", "-2"], "ValueError:lag must be >= 1"),
+            (
+                ["surrogate", "X", "Y", "--replicas", "0"],
+                "TooFewSamples:need at least 2 replicas, got 0",
+            ),
+            (
+                ["baseline", "--replicas", "-1"],
+                "TooFewSamples:replicas_per_h must be at least 2, got -1",
+            ),
+            (["baseline", "--length", "0"], "ValueError:series_length must be at least 64, got 0"),
+            (["baseline", "--lag", "0"], "ValueError:lag must be at least 1, got 0"),
+        ],
+    )
+    def test_value_refused_by_its_owner(self, argv, line, market_csvs, tmp_path, capsys):
+        # each integer flag is checked once, by the library call that owns it
+        x, y = market_csvs
+        argv = [{"X": x, "Y": y}.get(arg, arg) for arg in argv]
+        if argv[0] == "baseline":
+            argv = ["baseline", "--hurst", "0.5", "--replicas", "2", "--length", "64", *argv[1:]]
+        code, stdout, stderr = run_cli(capsys, *argv, "--bins", "6", "--out", str(tmp_path / "o"))
+        assert (code, stdout, stderr) == (1, "", line + "\n")
+
+    def test_baseline_lag_refused_before_out(self, tmp_path, capsys, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("run_fgn_ensemble ran before --lag was checked")
+
+        monkeypatch.setattr(cli, "run_fgn_ensemble", work)
+        out = tmp_path / "o"
+        code, stdout, stderr = run_cli(
+            capsys,
+            "baseline", "--hurst", "0.5", "--replicas", "2", "--length", "64",
+            "--bins", "3", "--lag", "64", "--out", str(out),
+        )
+        assert (code, stdout, stderr) == (1, "", "LagTooLarge:lag 64 >= series length 64\n")
+        assert not out.exists()
+
+    def test_memory_error(self, tmp_path, capsys, monkeypatch):
+        class _ArrayMemoryError(MemoryError):
+            """Stands in for NumPy's private MemoryError subclass."""
+
+        def allocate(*args, **kwargs):
+            raise _ArrayMemoryError("Unable to allocate 7.45 GiB for an array")
+
+        monkeypatch.setattr(cli, "run_fgn_ensemble", allocate)
+        code, stdout, stderr = run_cli(
+            capsys,
+            "baseline", "--hurst", "0.5", "--replicas", "2", "--length", "64",
+            "--bins", "3", "--out", str(tmp_path / "o"),
+        )
+        assert (code, stdout) == (1, "")
+        assert stderr == "MemoryError:Unable to allocate 7.45 GiB for an array\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_raw_amplitudes_near_float_limit(self, tmp_path, capsys):
+        huge = tmp_path / "huge.csv"
+        values = ["1e308", "-1e308", "0", "5e307", "-5e307", "1e307", "2", "3"]
+        huge.write_text("t,value\n" + "".join(f"{t},{v}\n" for t, v in enumerate(values)))
+        code, stdout, stderr = run_cli(
+            capsys, "map-lag", str(huge), "--preprocess", "raw", "--bins", "3",
+            "--out", str(tmp_path / "o"),
+        )
+        assert (code, stdout) == (1, "")
+        assert stderr == "ValueError:value range times 3 bins is out of the float range\n"
+
+        dated = tmp_path / "dated.csv"
+        values = ["-2.8e-43", "116", "166.1", "-3.5e16", "-1e308", "100", "100.5", "7"]
+        dated.write_text(
+            "date,value\n" + "".join(f"2020-01-0{d},{v}\n" for d, v in enumerate(values, 1))
+        )
+        code, stdout, stderr = run_cli(
+            capsys, "surrogate", str(dated), str(dated), "--preprocess", "raw",
+            "--bins", "3", "--replicas", "3", "--out", str(tmp_path / "o"),
+        )
+        assert (code, stdout, stderr) == (1, "", "ValueError:values must all be finite\n")
+
+
 class TestHelp:
     @pytest.mark.parametrize(
         ("command", "expected"),
@@ -505,10 +617,11 @@ class TestHelp:
     )
     def test_no_level_flag(self, argv, capsys):
         # every summary is a fixed 90% interval
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--level", "0.95"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --level 0.95" in capsys.readouterr().err
+        code, stdout, stderr = run_cli(capsys, *argv, "--level", "0.95")
+        assert code == 1
+        assert stdout == ""
+        assert stderr.count("\n") == 1
+        assert "unrecognized arguments: --level 0.95" in stderr
 
     def test_top_level_help(self, capsys):
         with pytest.raises(SystemExit) as exc:

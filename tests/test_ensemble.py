@@ -9,6 +9,7 @@ from scipy.stats import norm
 
 from couplemap import (
     EnsembleConfig,
+    LagTooLarge,
     MismatchedMeasureSets,
     ParseError,
     TooFewSamples,
@@ -131,6 +132,9 @@ class TestEnsembleConfig:
     def test_lag_and_seed_and_coupling(self):
         with pytest.raises(ValueError):
             EnsembleConfig(lag=0)
+        with pytest.raises(LagTooLarge, match="^lag 64 >= series length 64$"):
+            EnsembleConfig(series_length=64, lag=64)
+        assert EnsembleConfig(series_length=64, lag=63).lag == 63
         with pytest.raises(ValueError):
             EnsembleConfig(master_seed=2**64)
         with pytest.raises(TypeError, match="seed must be an integer"):

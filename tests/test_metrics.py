@@ -18,7 +18,6 @@ from couplemap import (
 from couplemap.metrics import (
     _STACK_MIN,
     MEASURE_FIELDS,
-    TABLE_FIELDS,
     MeasureReport,
     assortativity_stats,
     clustering_stats,
@@ -101,9 +100,10 @@ def networkx_path_means(w) -> dict:
 
 class TestSchema:
     def test_table_has_twenty_measures(self):
-        assert len(TABLE_FIELDS) == 20
-        assert len(set(TABLE_FIELDS)) == 20
-        assert MEASURE_FIELDS == TABLE_FIELDS + ("degree_concentration",)
+        # the twenty radar measures, then degree_concentration
+        assert len(MEASURE_FIELDS) == 21
+        assert len(set(MEASURE_FIELDS)) == 21
+        assert MEASURE_FIELDS[-1] == "degree_concentration"
 
     def test_report_json_keys(self):
         net = net_from([[1, 1, 0], [0, 1, 0], [1, 0, 1]])

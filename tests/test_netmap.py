@@ -61,6 +61,25 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             bin_indices([1.0, 2.0], 1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "values, bins",
+        [
+            ([0.0, 1e306, 5e305, 2e305], 1000),  # B * (max - min) overflows
+            ([1e308, -1e308, 0.0, 5e307, -5e307, 1e307, 2.0, 3.0], 3),  # max - min does
+        ],
+    )
+    def test_range_out_of_float_range(self, values, bins):
+        with pytest.raises(ValueError, match=f"value range times {bins} bins is out of"):
+            bin_indices(values, bins)
+        stack = np.array([np.arange(len(values), dtype=np.float64), values])
+        with pytest.raises(ValueError, match="out of the float range"):
+            bin_indices(stack, bins)
+
+    def test_range_near_float_limit(self):
+        # B * (max - min) = 1e308 is still finite, so the row is binned
+        assert list(bin_indices([0.0, 1e305, 5e304, 2e304], 1000)) == [0, 999, 500, 200]
+
     def test_series_wrapper(self):
         # map_lagged bins the series' own values: bins 0, 1, 2, 0
         net = map_lagged(index_series([1.0, 2.0, 3.0, 1.0]), lag=1, bin_count=3)

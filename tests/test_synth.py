@@ -215,6 +215,20 @@ class TestSurrogate:
         with pytest.raises(LengthTooShort):
             surrogate(index_series([1.0, 2.0, 3.0]), 0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [-2.8e-43, 116.0, 166.1, -3.5e16, -1e308, 100.0, 100.5, 7.0],  # irfft overflows
+            [1e308] * 7 + [1.5e308],  # so does rfft
+        ],
+    )
+    def test_overflow_refused_without_warning(self, values):
+        with pytest.raises(ValueError, match="values must all be finite"):
+            surrogate(index_series(values), 0)
+        with pytest.raises(ValueError, match="values must all be finite"):
+            next(surrogate_stacks(index_series(values), [1, 2, 3]))
+
     def test_kind_and_timestamps_preserved(self):
         from couplemap.series import standardize
 
