@@ -168,7 +168,7 @@ def cmd_baseline(args) -> list:
         lag=args.lag,
         master_seed=args.seed,
     )
-    _check_bins(args.bins, args.length)
+    _check_bins(args.bins, args.length - args.lag)  # cfg refused lag >= length
     path = os.path.join(_out_dir(args.out), "baseline_summary.csv")
     write_summary_csv(run_fgn_ensemble(cfg), path)
     return [path]
@@ -196,9 +196,14 @@ def _load_report_vector(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
-        return MeasureReport.from_dict(data).as_vector()
+        vector = MeasureReport.from_dict(data).as_vector()
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: not a measure report ({exc})") from exc
+    for name, value in vector.items():
+        # a bool, a string, null, NaN, an infinity or an int past the float range
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise ParseError(f"{path}: {name} is {value!r}, not a finite number")
+    return vector
 
 
 def cmd_compare(args) -> list:

@@ -3,15 +3,15 @@
 Replica seeds are derived from (master_seed, stream, index) with a
 splitmix64-style mix, so a replica's result depends only on the config and
 its index. Each fGn system is built and measured in stacks: its noises are
-drawn a stack of seeds at a time (synth.fgn_stacks), mapped a stack of
-rows at a time (netmap.map_lagged_rows, map_pair_rows) and measured a
-stack of networks at a time (metrics.measure_many), every array within
-the 512 KB budget of series.stack_size. Surrogate replicas are built the
-same way: the x and y surrogates are drawn in step a stack at a time
-(synth.surrogate_stacks), mapped with map_pair_rows and measured in
-stacks. Every stage gives the results of
-building each replica alone, and aggregation folds them in replica order,
-so summaries are byte-identical for a fixed config.
+drawn a stack of seeds at a time (synth.fgn_stacks), binned a stack of
+rows at a time and counted one network at a time (netmap.map_lagged_rows,
+map_pair_rows) and measured a stack of networks at a time
+(metrics.measure_many), every stacked array within the 512 KB budget of
+series.stack_size. Surrogate replicas are built the same way: the x and y
+surrogates are drawn in step a stack at a time (synth.surrogate_stacks),
+mapped with map_pair_rows and measured in stacks. Every stage gives the
+results of building each replica alone, and aggregation folds them in
+replica order, so summaries are byte-identical for a fixed config.
 """
 
 from __future__ import annotations
@@ -307,6 +307,8 @@ def read_summary_csv(path) -> EnsembleSummary:
                 )
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            if not (math.isfinite(row.mean) and math.isfinite(row.half_width)):
+                raise ParseError(f"{path}:{lineno}: mean and half-width must be finite")
             systems.setdefault(system, []).append(row)
     return EnsembleSummary({name: tuple(rows) for name, rows in systems.items()})
 

@@ -6,13 +6,11 @@ name the same node. Every time step contributes one count to the weight
 matrix W[source bin of x, target bin of y]; equal bins give self-loops.
 
 Mapping works on stacks of rows (map_pair_rows, map_lagged_rows): the rows
-are binned together, their bin indices kept in the smallest unsigned type,
-and their networks yielded as they are asked for, counted with one
-bincount per stack of as many B x B count matrices as fit the 512 KB
-per-array budget (series.stack_size; 26 at B = 50). map_pair and
+are binned together, and each network is counted alone, with one bincount
+of x_bin * B + y_bin, when the measures ask for it. map_pair and
 map_lagged are the one-row case.
 
-The table writers format row by row from a lookup: str or repr runs once
+The two TSV writers format row by row from a lookup: str or repr runs once
 per distinct value, and every cell takes its value's text.
 """
 
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyNetwork, LagTooLarge, opened
-from .series import AlignedPair, TimeSeries, stack_size
+from .series import AlignedPair, TimeSeries
 
 DEFAULT_BIN_COUNT = 50
 
@@ -78,30 +76,15 @@ def bin_indices(values: np.ndarray, bin_count: int) -> np.ndarray:
     return np.clip(np.floor(scaled).astype(np.int64), 0, bin_count - 1)
 
 
-def _compact_indices(values: np.ndarray, bin_count: int) -> np.ndarray:
-    """bin_indices in the smallest unsigned type that holds B - 1 (one byte
-    up to B = 256), so a stack's indices take a fraction of its values'
-    memory and the values can be dropped once binned."""
-    return bin_indices(values, bin_count).astype(np.min_scalar_type(bin_count - 1))
-
-
 def _networks(xi: np.ndarray, yi: np.ndarray, bin_count: int):
     """Yield one network per row pair of bin indices: W[k] counts (xi[k, t], yi[k, t]).
 
-    Networks are counted one bincount stack at a time, so a consumer that
-    measures and drops them holds one stack of count matrices, not all.
+    Each network is counted alone when it is asked for, so a consumer that
+    measures and drops them holds one count matrix at a time.
     """
-    cells = bin_count * bin_count
-    size = stack_size(cells)
-    for start in range(0, len(xi), size):
-        x, y = xi[start : start + size], yi[start : start + size]
-        offsets = cells * np.arange(len(x))[:, None]
-        flat = np.bincount(
-            (offsets + np.multiply(x, bin_count, dtype=np.int64) + y).ravel(),
-            minlength=len(x) * cells,
-        )
-        for w in flat.reshape(len(x), bin_count, bin_count):
-            yield CouplingNetwork(bin_count, w, x.shape[1])
+    for x, y in zip(xi, yi):
+        w = np.bincount(x * bin_count + y, minlength=bin_count * bin_count)
+        yield CouplingNetwork(bin_count, w.reshape(bin_count, bin_count), len(x))
 
 
 def map_pair_rows(x: np.ndarray, y: np.ndarray, bin_count: int):
@@ -111,9 +94,7 @@ def map_pair_rows(x: np.ndarray, y: np.ndarray, bin_count: int):
     asked for."""
     if np.shape(x) != np.shape(y):
         raise ValueError(f"value stacks differ in shape: {np.shape(x)} and {np.shape(y)}")
-    return _networks(
-        _compact_indices(x, bin_count), _compact_indices(y, bin_count), bin_count
-    )
+    return _networks(bin_indices(x, bin_count), bin_indices(y, bin_count), bin_count)
 
 
 def map_lagged_rows(values: np.ndarray, lag: int, bin_count: int):
@@ -125,7 +106,7 @@ def map_lagged_rows(values: np.ndarray, lag: int, bin_count: int):
         raise ValueError("lag must be >= 1")
     if lag >= values.shape[1]:
         raise LagTooLarge(f"lag {lag} >= series length {values.shape[1]}")
-    idx = _compact_indices(values, bin_count)
+    idx = bin_indices(values, bin_count)
     return _networks(idx[:, :-lag], idx[:, lag:], bin_count)
 
 
@@ -186,10 +167,10 @@ def write_adjacency_tsv(net: CouplingNetwork, path) -> None:
 def write_edge_list_csv(net: CouplingNetwork, path) -> None:
     """Sparse (source, target, weight) rows, sorted by source then target."""
     src, dst = np.nonzero(net.weights)
-    cells = iter(_texts(np.stack([src, dst, net.weights[src, dst]], axis=1).ravel(), str, {}))
+    rows = zip(src.tolist(), dst.tolist(), net.weights[src, dst].tolist())
     with opened(path, "w") as fh:
         fh.write("source,target,weight\r\n")
-        fh.writelines(f"{i},{j},{w}\r\n" for i, j, w in zip(cells, cells, cells))
+        fh.writelines(f"{i},{j},{w}\r\n" for i, j, w in rows)
 
 
 def write_joint_tsv(p: np.ndarray, path) -> None:

@@ -41,8 +41,8 @@ STACK_CELLS = 2**16
 def stack_size(row_cells: int) -> int:
     """Rows of row_cells float64 cells each that fit in STACK_CELLS, at least 1.
 
-    Stacked stages (fGn draws, binning, measure families) handle this many
-    replicas per array. Memory, not time, sets the budget: drawing and
+    Stacked stages (fGn draws, surrogate draws, measure families) handle this
+    many replicas per array. Memory, not time, sets the budget: drawing and
     measuring each 32-replica system of the default battery at once raised
     peak RSS by 4.3 MB (about 6% of the benchmark process), stacks within
     this budget by 0.3 MB.

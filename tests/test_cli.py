@@ -164,8 +164,25 @@ class TestBinsGuard:
         )
         assert code == 1
         assert stdout == ""
-        samples = {"map": 239, "map-lag": 248, "surrogate": 239, "baseline": 64}[command]
+        # baseline maps --length less --lag (1 by default) samples per network
+        samples = {"map": 239, "map-lag": 248, "surrogate": 239, "baseline": 63}[command]
         assert stderr == f"TooManyBins:--bins 100000 exceeds the {samples} samples to map\n"
+
+    def test_baseline_bins_above_lagged_samples(self, tmp_path, capsys, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("run_fgn_ensemble ran before --bins was checked")
+
+        monkeypatch.setattr(cli, "run_fgn_ensemble", work)
+        out = tmp_path / "o"
+        # each lag-62 network of a 64-point draw maps 2 samples
+        code, stdout, stderr = run_cli(
+            capsys,
+            "baseline", "--hurst", "0.5", "--replicas", "2", "--length", "64",
+            "--lag", "62", "--bins", "50", "--out", str(out),
+        )
+        line = "TooManyBins:--bins 50 exceeds the 2 samples to map\n"
+        assert (code, stdout, stderr) == (1, "", line)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["map", "map-lag", "surrogate", "baseline"])
     def test_below_three(self, command, market_csvs, tmp_path, capsys, no_bincount):
@@ -385,6 +402,67 @@ class TestSurrogateAndCompare:
         )
         assert code == 1
         assert stderr.startswith("ParseError:")
+
+
+class TestCompareRefusesNonFinite:
+    """compare reads only finite numbers, so comparison.json is valid JSON."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        summary = tmp_path / "summary.csv"
+        rows = tuple(SummaryRow(name, 1.0, 0.1, 2) for name in MEASURE_FIELDS)
+        write_summary_csv(EnsembleSummary({"fgn_h0.5": rows}), summary)
+        report = MeasureReport(**dict.fromkeys(MEASURE_FIELDS, 2.0), bin_count=3, sample_count=9)
+        return summary, report.to_dict()
+
+    def compare(self, capsys, tmp_path, summary, report):
+        path = tmp_path / "m.json"
+        path.write_text(report)
+        out = tmp_path / "cmp"
+        result = run_cli(capsys, "compare", f"m={path}", "--baseline", str(summary), "--out", str(out))
+        return result, path, out
+
+    def test_finite_report_accepted(self, inputs, tmp_path, capsys):
+        summary, report = inputs
+        report["deformation_R"] = 3  # an int is a finite number
+        (code, _, stderr), _, out = self.compare(capsys, tmp_path, summary, json.dumps(report))
+        assert code == 0, stderr
+        assert json.loads((out / "comparison.json").read_text())["systems"]["m"]["deformation_R"] == 3
+
+    @pytest.mark.parametrize(
+        "token, shown",
+        [
+            ("NaN", "nan"),
+            ("Infinity", "inf"),
+            ("-1e400", "-inf"),
+            ("1" + "0" * 400, "1" + "0" * 400),
+            ("true", "True"),
+            ('"abc"', "'abc'"),
+            ("null", "None"),
+        ],
+        ids=["nan", "inf", "float-overflow", "int-past-float", "true", "string", "null"],
+    )
+    def test_report_value_not_finite(self, token, shown, inputs, tmp_path, capsys):
+        summary, report = inputs
+        text = json.dumps({**report, "deformation_R": "@"}).replace('"@"', token)
+        result, path, out = self.compare(capsys, tmp_path, summary, text)
+        line = f"ParseError:{path}: deformation_R is {shown}, not a finite number\n"
+        assert result == (1, "", line)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("column", [2, 3], ids=["mean", "half-width"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-1e400"])
+    def test_summary_value_not_finite(self, column, token, inputs, tmp_path, capsys):
+        summary, report = inputs
+        lines = summary.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[column] = token
+        lines[3] = ",".join(fields)
+        summary.write_text("\n".join(lines) + "\n")
+        result, _, out = self.compare(capsys, tmp_path, summary, json.dumps(report))
+        line = f"ParseError:{summary}:4: mean and half-width must be finite\n"
+        assert result == (1, "", line)
+        assert not out.exists()
 
 
 def assert_file_error(result, kind, path):

@@ -224,9 +224,8 @@ class TestMapLagged:
 
 
 class TestRowStacks:
-    # 26 count matrices of B = 50 fit one stack, 2 of B = 181 and 1 of
-    # B = 300, so each row count crosses a stack boundary; bin indices take
-    # one byte up to B = 256 and two above
+    # each row's network is counted alone from int64 bin indices, at bin
+    # counts below, around and past 256
     @pytest.mark.parametrize("bins, rows", [(50, 27), (181, 3), (300, 2)])
     def test_rows_equal_one_by_one(self, rng, bins, rows):
         x = rng.normal(size=(rows, 400))
@@ -250,9 +249,10 @@ class TestRowStacks:
                 assert np.array_equal(net.weights, counts)
         assert lagged[1].weights[0, 0] == 398
 
-    def test_rows_yield_lazily(self, rng, monkeypatch):
-        # one B = 200 count matrix per stack, so each network takes one
-        # bincount, made only when the network is asked for
+    @pytest.mark.parametrize("bins", [200, 50])
+    def test_rows_yield_lazily(self, rng, monkeypatch, bins):
+        # each network takes one bincount, made only when the network is
+        # asked for, whether or not several B x B matrices fit 512 KB
         counted = []
         bincount = np.bincount
 
@@ -262,7 +262,7 @@ class TestRowStacks:
 
         monkeypatch.setattr(np, "bincount", counting)
         x = rng.normal(size=(3, 400))
-        for nets in (map_pair_rows(x, x[::-1], 200), map_lagged_rows(x, 1, 200)):
+        for nets in (map_pair_rows(x, x[::-1], bins), map_lagged_rows(x, 1, bins)):
             counted.clear()
             assert counted == []
             next(nets)
