@@ -28,7 +28,7 @@ from .ensemble import (
     write_json,
     write_summary_csv,
 )
-from .errors import CoupleMapError, IoError, ParseError, TooManyBins, opened
+from .errors import CoupleMapError, ParseError, TooManyBins, naming, opened
 from .metrics import MeasureReport, measure_all
 from .netmap import (
     DEFAULT_BIN_COUNT,
@@ -118,10 +118,8 @@ def _add_seed(p: argparse.ArgumentParser) -> None:
 def _out_dir(path: str) -> str:
     """Create the --out directory; called once a command's flags and inputs
     are checked, before anything is drawn, mapped or measured."""
-    try:
+    with naming(path):
         os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"{path}: {exc.strerror or exc}") from exc
     return path
 
 
@@ -190,19 +188,16 @@ def cmd_surrogate(args) -> list:
 
 
 def _load_report_vector(path: str) -> dict:
-    try:
-        with opened(path) as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    try:
-        vector = MeasureReport.from_dict(data).as_vector()
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{path}: not a measure report ({exc})") from exc
-    for name, value in vector.items():
-        # a bool, a string, null, NaN, an infinity or an int past the float range
-        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-            raise ParseError(f"{path}: {name} is {value!r}, not a finite number")
+    with opened(path) as handle:
+        data = json.load(handle)
+        try:
+            vector = MeasureReport.from_dict(data).as_vector()
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"not a measure report ({exc})") from exc
+        for name, value in vector.items():
+            # a bool, a string, null, NaN, an infinity or an int past the float range
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                raise ParseError(f"{name} is {value!r}, not a finite number")
     return vector
 
 

@@ -167,6 +167,13 @@ def fgn_system_name(hurst: float) -> str:
     return f"fgn_h{hurst:g}"
 
 
+def _pair_networks(xs, ys, bin_count: int):
+    """The networks of two in-step iterators of (k, N) value stacks, row by row."""
+    # map drops each pair of value stacks once map_pair_rows has binned it
+    stacks = map(map_pair_rows, xs, ys, itertools.repeat(bin_count))
+    return itertools.chain.from_iterable(stacks)
+
+
 def run_fgn_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
     """Per Hurst value: generate replicas, map, measure, aggregate.
 
@@ -175,20 +182,16 @@ def run_fgn_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
     """
 
     def networks(h_index: int, h: float):
-        n, bins, replicas = cfg.series_length, cfg.bin_count, cfg.replicas_per_h
-
-        def draws(streams):
+        def draws(start: int, step: int):
+            streams = range(start, step * cfg.replicas_per_h, step)
             seeds = [derive_seed(cfg.master_seed, h_index, s) for s in streams]
-            return fgn_stacks(h, n, seeds)
+            return fgn_stacks(h, cfg.series_length, seeds)
 
-        if cfg.coupling == COUPLING_LAG:
-            for rows in draws(range(replicas)):
-                yield from map_lagged_rows(rows, cfg.lag, bins)
+        if cfg.coupling == COUPLING_PAIR:
+            yield from _pair_networks(draws(0, 2), draws(1, 2), cfg.bin_count)
         else:
-            xs = draws(range(0, 2 * replicas, 2))
-            ys = draws(range(1, 2 * replicas, 2))
-            for x, y in zip(xs, ys):
-                yield from map_pair_rows(x, y, bins)
+            for rows in draws(0, 1):
+                yield from map_lagged_rows(rows, cfg.lag, cfg.bin_count)
 
     systems = {}
     for h_index, h in enumerate(cfg.hurst_values):
@@ -214,9 +217,7 @@ def run_surrogate_pair(
         seeds = [derive_seed(master_seed, replica, side) for replica in range(replicas)]
         return surrogate_stacks(s, seeds)
 
-    # map drops each pair of value stacks once map_pair_rows has binned it
-    stacks = map(map_pair_rows, draws(x, 0), draws(y, 1), itertools.repeat(bin_count))
-    reports = measure_many(itertools.chain.from_iterable(stacks))
+    reports = measure_many(_pair_networks(draws(x, 0), draws(y, 1), bin_count))
     return EnsembleSummary({"surrogate": _aggregate(reports)})
 
 
@@ -290,27 +291,32 @@ def write_summary_csv(summary: EnsembleSummary, path) -> None:
 def read_summary_csv(path) -> EnsembleSummary:
     with opened(path) as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty summary file") from None
+        header = next(reader, [])
         if tuple(header) != SUMMARY_COLUMNS:
-            raise ParseError(f"{path}: unexpected header {header}")
+            raise ParseError(f"unexpected header {header}")
         systems: dict = {}
         for lineno, record in enumerate(reader, start=2):
             if len(record) != len(SUMMARY_COLUMNS):
-                raise ParseError(f"{path}:{lineno}: wrong column count")
+                raise ParseError("wrong column count", lineno)
             system, name, mean, half_width, n, flags = record
             try:
-                row = SummaryRow(
-                    name, float(mean), float(half_width), int(n), int(flags)
-                )
+                numbers = float(mean), float(half_width), int(n), int(flags)
             except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+                raise ParseError(str(exc), lineno) from exc
+            row = SummaryRow(name, *numbers)
             if not (math.isfinite(row.mean) and math.isfinite(row.half_width)):
-                raise ParseError(f"{path}:{lineno}: mean and half-width must be finite")
-            systems.setdefault(system, []).append(row)
-    return EnsembleSummary({name: tuple(rows) for name, rows in systems.items()})
+                raise ParseError("mean and half-width must be finite", lineno)
+            if row.half_width < 0:
+                raise ParseError(f"half-width {row.half_width!r} is negative", lineno)
+            if row.n < 2:
+                raise ParseError(f"n {row.n} is below 2", lineno)
+            if not 0 <= row.flags <= row.n:
+                raise ParseError(f"flags {row.flags} outside [0, {row.n}]", lineno)
+            rows = systems.setdefault(system, {})
+            if name in rows:
+                raise ParseError(f"repeated row for {system!r} {name!r}", lineno)
+            rows[name] = row
+    return EnsembleSummary({s: tuple(rows.values()) for s, rows in systems.items()})
 
 
 def write_json(data: dict, path) -> None:

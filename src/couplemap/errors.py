@@ -2,12 +2,14 @@
 
 Every error the library raises subclasses :class:`CoupleMapError`, and the
 class name doubles as the machine-parsable error kind printed by the CLI
-(``Kind:detail``). Every file the package reads or writes is opened through
-:func:`opened`, so a file error names its file in that one line.
+(``Kind:detail``). Every file is opened through :func:`opened`, and
+:func:`naming`, which it uses, is the one place a path enters a message, so a
+file error names its file, and its row where there is one, in that one line.
 """
 
 import contextlib
 import csv
+import json
 
 
 class CoupleMapError(Exception):
@@ -19,11 +21,11 @@ class IoError(CoupleMapError):
 
 
 class ParseError(CoupleMapError):
-    """Malformed CSV content; the message carries the offending row."""
+    """Bad CSV or JSON content: ParseError(detail[, row]); naming adds the path."""
 
 
 class DuplicateTimestamp(CoupleMapError):
-    """Two rows share the same timestamp label."""
+    """Two rows share the same timestamp label: DuplicateTimestamp(stamp, row)."""
 
 
 class EmptyIntersection(CoupleMapError):
@@ -83,17 +85,24 @@ class MismatchedMeasureSets(CoupleMapError):
 
 
 @contextlib.contextmanager
-def opened(path, mode: str = "r", encoding: str = "utf-8"):
-    """open(path, mode, encoding=encoding, newline="") with file-named errors.
-
-    An OSError, on opening or inside the block, becomes
-    IoError("<path>: <strerror>"); a csv.Error or UnicodeDecodeError inside
-    the block becomes ParseError("<path>: <detail>").
-    """
+def naming(path):
+    """Re-raise the block's file and content errors as one that names path:
+    OSError as IoError("<path>: <strerror>"), a csv, decoding or JSON error as
+    ParseError("<path>: <detail>"), and ParseError(detail[, row]) or
+    DuplicateTimestamp(stamp, row) as the same kind, "<path>[:<row>]: <detail>"."""
     try:
-        with open(path, mode, encoding=encoding, newline="") as handle:
-            yield handle
+        yield
     except OSError as exc:
         raise IoError(f"{path}: {exc.strerror or exc}") from exc
-    except (csv.Error, UnicodeDecodeError) as exc:
+    except (csv.Error, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    except (ParseError, DuplicateTimestamp) as exc:
+        where = ":".join(map(str, (path, *exc.args[1:])))
+        raise type(exc)(f"{where}: {exc.args[0]}") from exc
+
+
+@contextlib.contextmanager
+def opened(path, mode: str = "r", encoding: str = "utf-8"):
+    """open(path, mode, encoding=encoding, newline="") inside naming(path)."""
+    with naming(path), open(path, mode, encoding=encoding, newline="") as handle:
+        yield handle

@@ -140,16 +140,16 @@ def _parse_timestamp(token: str, column: str, line_no: int):
             return token
         return int(token)
     except ValueError:
-        raise ParseError(f"row {line_no}: bad timestamp {token!r}") from None
+        raise ParseError(f"bad timestamp {token!r}", line_no) from None
 
 
 def _parse_value(token: str, line_no: int) -> float:
     try:
         v = float(token.strip())
     except ValueError:
-        raise ParseError(f"row {line_no}: bad value {token.strip()!r}") from None
+        raise ParseError(f"bad value {token.strip()!r}", line_no) from None
     if not math.isfinite(v):
-        raise ParseError(f"row {line_no}: non-finite value {token.strip()!r}")
+        raise ParseError(f"non-finite value {token.strip()!r}", line_no)
     return v
 
 
@@ -164,41 +164,41 @@ def load_csv(path, value_column: str) -> TimeSeries:
     """
     with opened(path, encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
-    if not rows:
-        raise ParseError("empty file")
-    header = [h.strip() for h in rows[0]]
-    if "date" in header and "t" in header:
-        raise ParseError("header names both 'date' and 't'")
-    if "date" in header:
-        ts_column = "date"
-    elif "t" in header:
-        ts_column = "t"
-    else:
-        raise ParseError("header must name a 'date' or 't' column")
-    if value_column not in header:
-        raise ParseError(f"header has no column {value_column!r}")
-    for name in (ts_column, value_column):
-        if header.count(name) > 1:
-            raise ParseError(f"header names column {name!r} more than once")
-    ts_idx = header.index(ts_column)
-    val_idx = header.index(value_column)
+        if not rows:
+            raise ParseError("empty file")
+        header = [h.strip() for h in rows[0]]
+        if "date" in header and "t" in header:
+            raise ParseError("header names both 'date' and 't'")
+        if "date" in header:
+            ts_column = "date"
+        elif "t" in header:
+            ts_column = "t"
+        else:
+            raise ParseError("header must name a 'date' or 't' column")
+        if value_column not in header:
+            raise ParseError(f"header has no column {value_column!r}")
+        for name in (ts_column, value_column):
+            if header.count(name) > 1:
+                raise ParseError(f"header names column {name!r} more than once")
+        ts_idx = header.index(ts_column)
+        val_idx = header.index(value_column)
 
-    stamps, values = [], []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) <= max(ts_idx, val_idx):
-            raise ParseError(f"row {line_no}: too few fields")
-        stamps.append(_parse_timestamp(row[ts_idx], ts_column, line_no))
-        values.append(_parse_value(row[val_idx], line_no))
-    if len(stamps) < 2:
-        raise ParseError("need at least 2 data rows")
-    if len(set(stamps)) != len(stamps):
-        seen = set()
-        for s in stamps:
-            if s in seen:
-                raise DuplicateTimestamp(str(s))
-            seen.add(s)
+        stamps, values, lines = [], [], []
+        for line_no, row in enumerate(rows[1:], start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) <= max(ts_idx, val_idx):
+                raise ParseError("too few fields", line_no)
+            stamps.append(_parse_timestamp(row[ts_idx], ts_column, line_no))
+            values.append(_parse_value(row[val_idx], line_no))
+            lines.append(line_no)
+        if len(stamps) < 2:
+            raise ParseError("need at least 2 data rows")
+        if len(set(stamps)) != len(stamps):
+            first = {}
+            for s, line_no in zip(stamps, lines):
+                if first.setdefault(s, line_no) != line_no:
+                    raise DuplicateTimestamp(str(s), line_no)
     order = np.argsort(np.asarray(stamps), kind="stable")
     stamps_arr = np.asarray(stamps)[order]
     values_arr = np.asarray(values, dtype=np.float64)[order]

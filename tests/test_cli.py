@@ -551,6 +551,40 @@ class TestFileBoundary:
         )
         assert_file_error(result, "IoError", missing)
 
+    @pytest.mark.parametrize(
+        ("text", "kind", "detail"),
+        [
+            ("t,value\n0,1.0\n1,abc\n", "ParseError", ":3: bad value 'abc'"),
+            ("t,value\n0,1.0\n0,2.0\n", "DuplicateTimestamp", ":3: 0"),
+            ("t,value\n0,1.0\n", "ParseError", ": need at least 2 data rows"),
+            ("when,value\n0,1.0\n1,2.0\n", "ParseError",
+             ": header must name a 'date' or 't' column"),
+        ],
+        ids=["bad-value", "repeated-stamp", "one-row", "no-stamp-column"],
+    )
+    @pytest.mark.parametrize("command", ["map", "surrogate"])
+    def test_content_error_names_the_failing_input(
+        self, command, text, kind, detail, market_csvs, tmp_path, capsys
+    ):
+        x, _ = market_csvs
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        out = tmp_path / "o"
+        for inputs in ([x, str(bad)], [str(bad), x]):
+            result = run_cli(capsys, command, *inputs, "--bins", "4", "--out", str(out))
+            assert result == (1, "", f"{kind}:{bad}{detail}\n")
+        assert not out.exists()
+
+    def test_repeated_summary_row_refused(self, summary_csv, tmp_path, capsys):
+        # a second row for one (system, measure) used to win silently
+        with summary_csv.open("a") as fh:
+            fh.write("fgn_h0.5,mean_k_total,99.0,0.1,2,0\n")
+        out = tmp_path / "o"
+        result = run_cli(capsys, "compare", "--baseline", str(summary_csv), "--out", str(out))
+        line = f"ParseError:{summary_csv}:3: repeated row for 'fgn_h0.5' 'mean_k_total'\n"
+        assert result == (1, "", line)
+        assert not out.exists()
+
     def test_directory_in_place_of_output_file(self, market_csvs, tmp_path, capsys):
         x, y = market_csvs
         out = tmp_path / "out"

@@ -408,6 +408,27 @@ class TestSummaryCsv:
         with pytest.raises(ParseError, match=":2"):
             read_summary_csv(p)
 
+    @pytest.mark.parametrize(
+        ("record", "detail"),
+        [
+            ("sys,a,1.0,0.5,2,0", "repeated row for 'sys' 'a'"),
+            ("sys,b,1.0,-0.5,2,0", "half-width -0.5 is negative"),
+            ("sys,b,1.0,0.5,1,0", "n 1 is below 2"),
+            ("sys,b,1.0,0.5,2,3", "flags 3 outside [0, 2]"),
+            ("sys,b,1.0,0.5,2,-1", "flags -1 outside [0, 2]"),
+        ],
+        ids=["repeated", "negative-half-width", "n-below-2", "flags-above-n", "flags-negative"],
+    )
+    def test_rows_never_written_refused(self, tmp_path, record, detail):
+        # write_summary_csv writes one row per (system, measure), n >= 2,
+        # half-width >= 0 and 0 <= flags <= n; anything else is refused
+        p = tmp_path / "bad.csv"
+        good = "sys,a,1.0,0.5,2,2\nother,a,1.0,0.5,2,0\n"
+        p.write_text(",".join(SUMMARY_COLUMNS) + f"\n{good}{record}\n")
+        with pytest.raises(ParseError) as exc:
+            read_summary_csv(p)
+        assert str(exc.value) == f"{p}:4: {detail}"
+
 
 class TestRadarNormalize:
     @staticmethod

@@ -108,9 +108,11 @@ class TestLoadCsv:
 
     def test_duplicate_timestamp(self, tmp_path):
         p = tmp_path / "a.csv"
-        p.write_text("date,value\n2020-01-01,1.0\n2020-01-01,2.0\n")
-        with pytest.raises(DuplicateTimestamp):
+        p.write_text("date,value\n2020-01-01,1.0\n\n2020-01-01,2.0\n")
+        with pytest.raises(DuplicateTimestamp) as exc:
             load_csv(p, "value")
+        # the row of the second occurrence, counting the blank line
+        assert str(exc.value) == f"{p}:4: 2020-01-01"
 
     def test_missing_file(self, tmp_path):
         missing = tmp_path / "nope.csv"
@@ -121,14 +123,16 @@ class TestLoadCsv:
     def test_bad_value_reports_row(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("t,value\n0,1.0\n1,oops\n")
-        with pytest.raises(ParseError, match="row 3"):
+        with pytest.raises(ParseError) as exc:
             load_csv(p, "value")
+        assert str(exc.value) == f"{p}:3: bad value 'oops'"
 
     def test_bad_timestamp_reports_row(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("date,value\n2020-01-01,1.0\nnot-a-date,2.0\n")
-        with pytest.raises(ParseError, match="row 3"):
+        with pytest.raises(ParseError) as exc:
             load_csv(p, "value")
+        assert str(exc.value) == f"{p}:3: bad timestamp 'not-a-date'"
 
     @pytest.mark.parametrize("token", ["20000103", "2000-W01-1"])
     def test_other_iso_spellings_refused(self, tmp_path, token):
@@ -137,8 +141,9 @@ class TestLoadCsv:
         # YYYY-MM-DD dates
         p = tmp_path / "a.csv"
         p.write_text(f"date,value\n2000-01-04,1.0\n{token},2.0\n")
-        with pytest.raises(ParseError, match=f"row 3: bad timestamp '{token}'"):
+        with pytest.raises(ParseError) as exc:
             load_csv(p, "value")
+        assert str(exc.value) == f"{p}:3: bad timestamp '{token}'"
 
     def test_byte_order_mark_skipped(self, tmp_path):
         p = tmp_path / "a.csv"
