@@ -24,8 +24,8 @@ summary = run_fgn_ensemble(cfg)
 print(f"{len(cfg.hurst_values)} Hurst values x {cfg.replicas_per_h} replicas, "
       f"N={cfg.series_length}, B={cfg.bin_count}")
 print(f"{'system':>10} {'mean R':>8} {'90% half-width':>15}")
-for system in summary.system_names():
-    row = summary.row(system, "deformation_R")
+for system, rows in summary.systems.items():
+    row = rows["deformation_R"]
     print(f"{system:>10} {row.mean:+8.3f} {row.half_width:15.3f}")
 
 out = tempfile.mkdtemp(prefix="couplemap_demo02_") + "/baseline_summary.csv"

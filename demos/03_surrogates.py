@@ -44,7 +44,7 @@ y = standardize(index_series(0.8 * common + 0.4 * rng.normal(0, 1, n)))
 direct_r = measure_all(map_pair(AlignedPair(x, y), bin_count=40)).deformation_R
 
 null = run_surrogate_pair(x, y, replicas=32, bin_count=40, master_seed=5)
-row = null.row("surrogate", "deformation_R")
+row = null.systems["surrogate"]["deformation_R"]
 print(f"\ncoupled pair R        : {direct_r:+.3f}")
 print(f"surrogate null R      : {row.mean:+.3f} +/- {row.half_width:.3f} (90% CI)")
 print("the pair's R sits far outside its own phase-randomized null"

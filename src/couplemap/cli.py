@@ -201,18 +201,26 @@ def _load_report_vector(path: str) -> dict:
     return vector
 
 
-def cmd_compare(args) -> list:
-    summary = read_summary_csv(args.baseline)
-    if args.surrogate is not None:
-        summary = summary.merged(read_summary_csv(args.surrogate))
-    systems = {name: summary.vector(name) for name in summary.system_names()}
+def _compared_systems(args):
+    """(name, measure name -> value) for each summary system of --baseline,
+    then of --surrogate, then for each NAME=PATH report, in that order."""
+    for path in (args.baseline, args.surrogate):
+        if path is not None:
+            for name, rows in read_summary_csv(path).systems.items():
+                yield name, {measure: row.mean for measure, row in rows.items()}
     for item in args.reports:
         name, _, path = item.partition("=")
         if not name or not path:
             raise ValueError(f"expected NAME=PATH, got {item!r}")
+        yield name, _load_report_vector(path)
+
+
+def cmd_compare(args) -> list:
+    systems = {}
+    for name, vector in _compared_systems(args):
         if name in systems:
-            raise ValueError(f"duplicate system name {name!r} in {item!r}")
-        systems[name] = _load_report_vector(path)
+            raise ValueError(f"duplicate system name {name!r}")
+        systems[name] = vector
     comparison = radar_normalize(systems)
     path = os.path.join(_out_dir(args.out), "comparison.json")
     write_json(comparison, path)

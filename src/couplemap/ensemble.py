@@ -127,7 +127,7 @@ class SummaryRow:
 
 @dataclass(frozen=True)
 class EnsembleSummary:
-    """Ordered system name -> SummaryRow tuple, one row per measure."""
+    """Ordered system name -> {measure name: SummaryRow}, one row per measure."""
 
     systems: dict
 
@@ -135,32 +135,16 @@ class EnsembleSummary:
         return tuple(self.systems)
 
     def rows(self, system: str) -> tuple:
-        return self.systems[system]
-
-    def row(self, system: str, measure_name: str) -> SummaryRow:
-        for row in self.systems[system]:
-            if row.measure_name == measure_name:
-                return row
-        raise KeyError(measure_name)
-
-    def vector(self, system: str) -> dict:
-        """Measure name -> ensemble mean, for radar comparison."""
-        return {row.measure_name: row.mean for row in self.systems[system]}
-
-    def merged(self, other: "EnsembleSummary") -> "EnsembleSummary":
-        overlap = set(self.systems) & set(other.systems)
-        if overlap:
-            raise ValueError(f"duplicate system names: {sorted(overlap)}")
-        return EnsembleSummary({**self.systems, **other.systems})
+        return tuple(self.systems[system].values())
 
 
-def _aggregate(reports: list) -> tuple:
-    rows = []
+def _aggregate(reports: list) -> dict:
+    rows = {}
     for name in MEASURE_FIELDS:
         mean, half_width = confidence_interval([getattr(r, name) for r in reports])
         flagged = sum(1 for r in reports if name in r.flags)
-        rows.append(SummaryRow(name, mean, half_width, len(reports), flagged))
-    return tuple(rows)
+        rows[name] = SummaryRow(name, mean, half_width, len(reports), flagged)
+    return rows
 
 
 def fgn_system_name(hurst: float) -> str:
@@ -274,18 +258,10 @@ def write_summary_csv(summary: EnsembleSummary, path) -> None:
     with opened(path, "w") as handle:
         writer = csv.writer(handle)
         writer.writerow(SUMMARY_COLUMNS)
-        for system in summary.system_names():
-            for row in summary.rows(system):
-                writer.writerow(
-                    [
-                        system,
-                        row.measure_name,
-                        repr(row.mean),
-                        repr(row.half_width),
-                        row.n,
-                        row.flags,
-                    ]
-                )
+        for system, rows in summary.systems.items():
+            for row in rows.values():
+                numbers = repr(row.mean), repr(row.half_width), row.n, row.flags
+                writer.writerow([system, row.measure_name, *numbers])
 
 
 def read_summary_csv(path) -> EnsembleSummary:
@@ -299,6 +275,8 @@ def read_summary_csv(path) -> EnsembleSummary:
             if len(record) != len(SUMMARY_COLUMNS):
                 raise ParseError("wrong column count", lineno)
             system, name, mean, half_width, n, flags = record
+            if name not in MEASURE_FIELDS:
+                raise ParseError(f"unknown measure {name!r}", lineno)
             try:
                 numbers = float(mean), float(half_width), int(n), int(flags)
             except ValueError as exc:
@@ -316,7 +294,11 @@ def read_summary_csv(path) -> EnsembleSummary:
             if name in rows:
                 raise ParseError(f"repeated row for {system!r} {name!r}", lineno)
             rows[name] = row
-    return EnsembleSummary({s: tuple(rows.values()) for s, rows in systems.items()})
+        for system, rows in systems.items():
+            missing = [name for name in MEASURE_FIELDS if name not in rows]
+            if missing:
+                raise ParseError(f"system {system!r} lacks {', '.join(missing)}")
+    return EnsembleSummary(systems)
 
 
 def write_json(data: dict, path) -> None:

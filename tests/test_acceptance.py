@@ -144,11 +144,10 @@ def test_criterion_3_surrogate_contract():
 
 def test_criterion_4_deformation_trend(default_run):
     summary, elapsed = default_run
-    systems = summary.system_names()
-    means = [summary.row(name, "deformation_R").mean for name in systems]
+    means = [rows["deformation_R"].mean for rows in summary.systems.values()]
     rho = float(spearmanr(means, list(range(len(means)))).statistic)
     increasing = all(a < b for a, b in zip(means, means[1:]))
-    mid = summary.row("fgn_h0.5", "deformation_R").mean
+    mid = summary.systems["fgn_h0.5"]["deformation_R"].mean
     ok = increasing and rho == 1.0 and -0.05 <= mid <= 0.05 and elapsed < 300.0
     _verdict(
         4,
@@ -161,10 +160,10 @@ def test_criterion_4_deformation_trend(default_run):
 def test_criterion_5_degree_identities(default_run):
     summary, _ = default_run
     worst = 0.0
-    for system in summary.system_names():
-        k_out = summary.row(system, "mean_k_out").mean
-        k_in = summary.row(system, "mean_k_in").mean
-        k_total = summary.row(system, "mean_k_total").mean
+    for rows in summary.systems.values():
+        k_out = rows["mean_k_out"].mean
+        k_in = rows["mean_k_in"].mean
+        k_total = rows["mean_k_total"].mean
         worst = max(worst, abs(k_out - k_in), abs(k_out - k_total / 2.0))
     ok = worst <= 1e-12
     _verdict(5, ok, f"mean_k_out = mean_k_in = mean_k_total/2, worst gap {worst:.1e}")
@@ -194,8 +193,8 @@ def test_criterion_7_surrogate_invariance_of_noise():
     surrogates = run_surrogate_pair(x, y, replicas=32, bin_count=50, master_seed=105)
     within = 0
     for name in TABLE_FIELDS:
-        d = direct.row("fgn_h0.5", name)
-        s = surrogates.row("surrogate", name)
+        d = direct.systems["fgn_h0.5"][name]
+        s = surrogates.systems["surrogate"][name]
         if abs(d.mean - s.mean) <= 2.0 * max(d.half_width, s.half_width):
             within += 1
     elapsed = time.perf_counter() - start
@@ -232,11 +231,12 @@ def test_criterion_8_market_reproduction():
     djia_sp500 = report_for("djia", "sp500")
     djia_ssec = report_for("djia", "ssec")
     baseline = run_fgn_ensemble(EnsembleConfig(hurst_values=(0.5,)))
-    row = baseline.row("fgn_h0.5", "deformation_R")
+    rows = baseline.systems["fgn_h0.5"]
+    row = rows["deformation_R"]
     noise_floor = row.mean - 2.0 * row.half_width
     radar = radar_normalize(
         {
-            "fgn_h0.5": baseline.vector("fgn_h0.5"),
+            "fgn_h0.5": {name: r.mean for name, r in rows.items()},
             "djia_sp500": djia_sp500.as_vector(),
             "djia_ssec": djia_ssec.as_vector(),
         }

@@ -353,12 +353,12 @@ class TestSurrogateAndCompare:
         lines = (base_dir / "baseline_summary.csv").read_text().strip().splitlines()
         # drop the last measure row of the last system only
         truncated.write_text("\n".join(lines[:-1]) + "\n")
-        code, _, stderr = run_cli(
+        result = run_cli(
             capsys,
             "compare", "--baseline", str(truncated), "--out", str(tmp_path / "x"),
         )
-        assert code == 1
-        assert stderr.startswith("MismatchedMeasureSets:")
+        line = f"ParseError:{truncated}: system 'fgn_h0.7' lacks {MEASURE_FIELDS[-1]}\n"
+        assert result == (1, "", line)
 
     def test_bad_report_argument(self, pipeline_dirs, tmp_path, capsys):
         base_dir, _, _ = pipeline_dirs
@@ -410,7 +410,7 @@ class TestCompareRefusesNonFinite:
     @pytest.fixture
     def inputs(self, tmp_path):
         summary = tmp_path / "summary.csv"
-        rows = tuple(SummaryRow(name, 1.0, 0.1, 2) for name in MEASURE_FIELDS)
+        rows = {name: SummaryRow(name, 1.0, 0.1, 2) for name in MEASURE_FIELDS}
         write_summary_csv(EnsembleSummary({"fgn_h0.5": rows}), summary)
         report = MeasureReport(**dict.fromkeys(MEASURE_FIELDS, 2.0), bin_count=3, sample_count=9)
         return summary, report.to_dict()
@@ -465,6 +465,41 @@ class TestCompareRefusesNonFinite:
         assert not out.exists()
 
 
+class TestCompareSummaryShape:
+    """compare reads only the summaries baseline and surrogate write, where
+    each system has one row for each of the 21 measures, and refuses a
+    system name that --baseline, --surrogate or a report has already given."""
+
+    @staticmethod
+    def summary(path, systems, measures=MEASURE_FIELDS):
+        rows = {name: SummaryRow(name, 1.0, 0.1, 2) for name in measures}
+        write_summary_csv(EnsembleSummary(dict.fromkeys(systems, rows)), path)
+        return path
+
+    def compare(self, capsys, tmp_path, *argv):
+        out = tmp_path / "o"
+        result = run_cli(capsys, "compare", *argv, "--out", str(out))
+        assert not out.exists()
+        return result
+
+    def test_system_in_baseline_and_surrogate(self, tmp_path, capsys):
+        a = self.summary(tmp_path / "a.csv", ["fgn_h0.5"])
+        b = self.summary(tmp_path / "b.csv", ["fgn_h0.5"])
+        result = self.compare(capsys, tmp_path, "--baseline", str(a), "--surrogate", str(b))
+        assert result == (1, "", "ValueError:duplicate system name 'fgn_h0.5'\n")
+
+    def test_unknown_measure(self, tmp_path, capsys):
+        a = self.summary(tmp_path / "a.csv", ["fgn_h0.5", "fgn_h0.9"], ["not_a_measure"])
+        result = self.compare(capsys, tmp_path, "--baseline", str(a))
+        assert result == (1, "", f"ParseError:{a}:2: unknown measure 'not_a_measure'\n")
+
+    def test_system_lacking_measures(self, tmp_path, capsys):
+        a = self.summary(tmp_path / "a.csv", ["fgn_h0.5", "fgn_h0.9"], ["deformation_R"])
+        missing = ", ".join(name for name in MEASURE_FIELDS if name != "deformation_R")
+        result = self.compare(capsys, tmp_path, "--baseline", str(a))
+        assert result == (1, "", f"ParseError:{a}: system 'fgn_h0.5' lacks {missing}\n")
+
+
 def assert_file_error(result, kind, path):
     """Exit 1, nothing on stdout, one `Kind:<path>: detail` line on stderr."""
     code, stdout, stderr = result
@@ -480,7 +515,7 @@ class TestFileBoundary:
     @pytest.fixture
     def summary_csv(self, tmp_path):
         path = tmp_path / "summary.csv"
-        rows = (SummaryRow("mean_k_total", 1.0, 0.1, 2),)
+        rows = {name: SummaryRow(name, 1.0, 0.1, 2) for name in MEASURE_FIELDS}
         write_summary_csv(EnsembleSummary({"fgn_h0.5": rows}), path)
         return path
 
@@ -581,7 +616,7 @@ class TestFileBoundary:
             fh.write("fgn_h0.5,mean_k_total,99.0,0.1,2,0\n")
         out = tmp_path / "o"
         result = run_cli(capsys, "compare", "--baseline", str(summary_csv), "--out", str(out))
-        line = f"ParseError:{summary_csv}:3: repeated row for 'fgn_h0.5' 'mean_k_total'\n"
+        line = f"ParseError:{summary_csv}:23: repeated row for 'fgn_h0.5' 'mean_k_total'\n"
         assert result == (1, "", line)
         assert not out.exists()
 

@@ -215,7 +215,7 @@ report_texts = st.one_of(
 
 def edited_summary(path, systems, edits):
     """Write a valid summary of systems to path, then apply line edits."""
-    rows = tuple(SummaryRow(name, 1.0 + i, 0.1, 4, 1) for i, name in enumerate(MEASURE_FIELDS))
+    rows = {name: SummaryRow(name, 1.0 + i, 0.1, 4, 1) for i, name in enumerate(MEASURE_FIELDS)}
     write_summary_csv(EnsembleSummary(dict.fromkeys(systems, rows)), path)
     with open(path, encoding="utf-8", newline="") as fh:
         lines = list(csv.reader(fh))

@@ -26,8 +26,6 @@ from couplemap.ensemble import (
     SUMMARY_COLUMNS,
     UNCOUPLED_SYSTEM,
     Z90,
-    EnsembleSummary,
-    SummaryRow,
     _aggregate,
     confidence_interval,
     derive_seed,
@@ -153,7 +151,7 @@ class TestAggregate:
             small_report(flags=("assort_coef",)),
             small_report(flags=("assort_coef", "mean_len_directed")),
         ]
-        rows = {r.measure_name: r for r in _aggregate(reports)}
+        rows = _aggregate(reports)
         assert rows["assort_coef"].flags == 2
         assert rows["mean_len_directed"].flags == 1
         assert rows["mean_k_total"].flags == 0
@@ -161,7 +159,8 @@ class TestAggregate:
 
     def test_row_per_measure(self):
         rows = _aggregate([small_report(), small_report()])
-        assert tuple(r.measure_name for r in rows) == MEASURE_FIELDS
+        assert tuple(rows) == MEASURE_FIELDS
+        assert tuple(r.measure_name for r in rows.values()) == MEASURE_FIELDS
 
 
 class TestRunFgnEnsemble:
@@ -176,9 +175,8 @@ class TestRunFgnEnsemble:
 
     def test_out_in_identity(self):
         summary = run_fgn_ensemble(EnsembleConfig(**SMALL))
-        out = summary.row("fgn_h0.5", "mean_k_out")
-        inn = summary.row("fgn_h0.5", "mean_k_in")
-        total = summary.row("fgn_h0.5", "mean_k_total")
+        rows = summary.systems["fgn_h0.5"]
+        out, inn, total = rows["mean_k_out"], rows["mean_k_in"], rows["mean_k_total"]
         assert abs(out.mean - inn.mean) <= 1e-12
         assert abs(out.mean - total.mean / 2.0) <= 1e-12
 
@@ -202,7 +200,7 @@ class TestRunFgnEnsemble:
         ]
         assert replicas[2].mean_k_total == report.mean_k_total
         mean = np.mean([r.mean_k_total for r in replicas])
-        assert summary.row("fgn_h0.5", "mean_k_total").mean == pytest.approx(
+        assert summary.systems["fgn_h0.5"]["mean_k_total"].mean == pytest.approx(
             mean, abs=1e-12
         )
 
@@ -235,14 +233,14 @@ class TestRunFgnEnsemble:
         for h_index, (h, reports) in enumerate(zip(cfg.hurst_values, captured, strict=True)):
             expected = [alone(h_index, h, r) for r in range(27)]
             assert [repr(r) for r in reports] == [repr(r) for r in expected]
-            assert summary.rows(fgn_system_name(h)) == _aggregate(expected)
+            assert summary.systems[fgn_system_name(h)] == _aggregate(expected)
 
     def test_pair_mode_differs_from_lag_mode(self):
         lag = run_fgn_ensemble(EnsembleConfig(**SMALL))
         pair = run_fgn_ensemble(EnsembleConfig(**SMALL, coupling="pair"))
         assert (
-            lag.row("fgn_h0.5", "deformation_R").mean
-            != pair.row("fgn_h0.5", "deformation_R").mean
+            lag.systems["fgn_h0.5"]["deformation_R"].mean
+            != pair.systems["fgn_h0.5"]["deformation_R"].mean
         )
 
     def test_system_names_format(self):
@@ -265,8 +263,8 @@ class TestRunFgnEnsemble:
                 EnsembleConfig(**base, replicas_per_h=16, master_seed=master)
             )
             for name in MEASURE_FIELDS:
-                hw_small[name] += small.row("fgn_h0.5", name).half_width
-                hw_large[name] += large.row("fgn_h0.5", name).half_width
+                hw_small[name] += small.systems["fgn_h0.5"][name].half_width
+                hw_large[name] += large.systems["fgn_h0.5"][name].half_width
         ratios = [
             hw_small[name] / hw_large[name]
             for name in MEASURE_FIELDS
@@ -329,7 +327,7 @@ class TestRunSurrogatePair:
             )
             for r in range(3)
         ]
-        assert a.rows("surrogate") == _aggregate(reports)
+        assert a.systems["surrogate"] == _aggregate(reports)
 
     @pytest.mark.parametrize("n, replicas", [(2447, 7), (2000, 9)])
     def test_stacks_equal_replicas_built_alone(self, n, replicas):
@@ -351,25 +349,17 @@ class TestRunSurrogatePair:
             )
             for r in range(replicas)
         ]
-        assert repr(summary.rows("surrogate")) == repr(_aggregate(reports))
+        assert repr(summary.systems["surrogate"]) == repr(_aggregate(reports))
 
 
 class TestEnsembleSummary:
     def test_vector_and_row(self):
         summary = run_fgn_ensemble(EnsembleConfig(**SMALL))
-        vec = summary.vector("fgn_h0.5")
-        assert tuple(vec) == MEASURE_FIELDS
-        assert vec["mean_k_total"] == summary.row("fgn_h0.5", "mean_k_total").mean
+        rows = summary.systems["fgn_h0.5"]
+        assert tuple(rows) == MEASURE_FIELDS
+        assert summary.rows("fgn_h0.5") == tuple(rows.values())
         with pytest.raises(KeyError):
-            summary.row("fgn_h0.5", "not_a_measure")
-
-    def test_merged_rejects_duplicates(self):
-        a = EnsembleSummary({"s": (SummaryRow("m", 1.0, 0.0, 2),)})
-        b = EnsembleSummary({"s": (SummaryRow("m", 2.0, 0.0, 2),)})
-        with pytest.raises(ValueError):
-            a.merged(b)
-        c = EnsembleSummary({"t": (SummaryRow("m", 2.0, 0.0, 2),)})
-        assert a.merged(c).system_names() == ("s", "t")
+            rows["not_a_measure"]
 
 
 class TestSummaryCsv:
@@ -397,33 +387,38 @@ class TestSummaryCsv:
     def test_bad_row_reports_line(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text(
-            ",".join(SUMMARY_COLUMNS) + "\nsys,m,not-a-float,0.0,2,0\n"
+            ",".join(SUMMARY_COLUMNS) + "\nsys,mean_k_total,not-a-float,0.0,2,0\n"
         )
         with pytest.raises(ParseError, match=":2"):
             read_summary_csv(p)
 
     def test_wrong_column_count(self, tmp_path):
         p = tmp_path / "bad.csv"
-        p.write_text(",".join(SUMMARY_COLUMNS) + "\nsys,m,1.0\n")
+        p.write_text(",".join(SUMMARY_COLUMNS) + "\nsys,mean_k_total,1.0\n")
         with pytest.raises(ParseError, match=":2"):
             read_summary_csv(p)
 
     @pytest.mark.parametrize(
         ("record", "detail"),
         [
-            ("sys,a,1.0,0.5,2,0", "repeated row for 'sys' 'a'"),
-            ("sys,b,1.0,-0.5,2,0", "half-width -0.5 is negative"),
-            ("sys,b,1.0,0.5,1,0", "n 1 is below 2"),
-            ("sys,b,1.0,0.5,2,3", "flags 3 outside [0, 2]"),
-            ("sys,b,1.0,0.5,2,-1", "flags -1 outside [0, 2]"),
+            ("sys,mean_k_out,1.0,0.5,2,0", "repeated row for 'sys' 'mean_k_out'"),
+            ("sys,mean_k_in,1.0,-0.5,2,0", "half-width -0.5 is negative"),
+            ("sys,mean_k_in,1.0,0.5,1,0", "n 1 is below 2"),
+            ("sys,mean_k_in,1.0,0.5,2,3", "flags 3 outside [0, 2]"),
+            ("sys,mean_k_in,1.0,0.5,2,-1", "flags -1 outside [0, 2]"),
+            ("sys,not_a_measure,1.0,0.5,2,0", "unknown measure 'not_a_measure'"),
         ],
-        ids=["repeated", "negative-half-width", "n-below-2", "flags-above-n", "flags-negative"],
+        ids=[
+            "repeated", "negative-half-width", "n-below-2", "flags-above-n", "flags-negative",
+            "unknown-measure",
+        ],
     )
     def test_rows_never_written_refused(self, tmp_path, record, detail):
-        # write_summary_csv writes one row per (system, measure), n >= 2,
-        # half-width >= 0 and 0 <= flags <= n; anything else is refused
+        # write_summary_csv writes one row per (system, measure) of
+        # MEASURE_FIELDS, n >= 2, half-width >= 0 and 0 <= flags <= n;
+        # anything else is refused at its row
         p = tmp_path / "bad.csv"
-        good = "sys,a,1.0,0.5,2,2\nother,a,1.0,0.5,2,0\n"
+        good = "sys,mean_k_out,1.0,0.5,2,2\nother,mean_k_out,1.0,0.5,2,0\n"
         p.write_text(",".join(SUMMARY_COLUMNS) + f"\n{good}{record}\n")
         with pytest.raises(ParseError) as exc:
             read_summary_csv(p)

@@ -10,6 +10,7 @@ import oracles
 from conftest import edges_net, net_from, random_weights, special_weight_matrices
 from couplemap import (
     DegenerateDegrees,
+    EmptyDistribution,
     InvalidPartition,
     NoEdges,
     joint_probability,
@@ -186,6 +187,10 @@ class TestDeformationRatio:
         p = np.zeros((3, 3))
         p[1, 2] = 1.0
         assert deformation_ratio(p) == 0.0
+
+    def test_no_positive_cell(self):
+        with pytest.raises(EmptyDistribution, match="no positive cell"):
+            deformation_ratio(np.zeros((3, 3)))
 
     def test_pinned_example(self):
         jp = np.array([[0.5, 0.25], [0.0, 0.25]])
