@@ -73,11 +73,11 @@ class DegenerateDegrees(CoupleMapError):
 
 
 class InvalidPartition(CoupleMapError):
-    """Partition does not cover every positive-degree node."""
+    """Partition does not label every node."""
 
 
 class TooFewSamples(CoupleMapError):
-    """Confidence interval over fewer than two samples."""
+    """Fewer than two samples for a confidence interval, or fewer than two replicas."""
 
 
 class MismatchedMeasureSets(CoupleMapError):

@@ -282,8 +282,7 @@ def assortativity_stats(net: CouplingNetwork) -> dict:
     sxy_e = sxy - x * y
     sp2_e = sp2 - (x + y)
     sq2_e = sq2 - (x * x + y * y)
-    num_e = 4 * mp * sxy_e - sp2_e * sp2_e
-    den_e = 2 * mp * sq2_e - sp2_e * sp2_e
+    num_e, den_e = _pearson_int(mp, sxy_e, sp2_e, sq2_e)
     ok = den_e != 0
     scalar_var = float((((num_e[ok] / den_e[ok]) - scalar_coef) ** 2).sum())
 

@@ -154,19 +154,20 @@ def _parse_value(token: str, line_no: int) -> float:
 
 
 def load_csv(path, value_column: str) -> TimeSeries:
-    """Read a two-plus-column CSV into a raw TimeSeries.
+    """Read a two-plus-column CSV into a raw TimeSeries, in one pass.
 
     The header must name a timestamp column (``date`` for YYYY-MM-DD dates
     or ``t`` for integer indices) and the requested ``value_column``, each
-    once; a leading UTF-8 byte-order mark is skipped. Rows may arrive in
-    any order; the result is sorted by timestamp. Duplicate timestamps are
-    rejected.
+    once; a leading UTF-8 byte-order mark is skipped. Rows are sorted by
+    timestamp; blank rows are skipped but counted, and the first faulty row
+    in file order is reported.
     """
     with opened(path, encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
-        if not rows:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ParseError("empty file")
-        header = [h.strip() for h in rows[0]]
+        header = [h.strip() for h in header]
         if "date" in header and "t" in header:
             raise ParseError("header names both 'date' and 't'")
         if "date" in header:
@@ -180,29 +181,24 @@ def load_csv(path, value_column: str) -> TimeSeries:
         for name in (ts_column, value_column):
             if header.count(name) > 1:
                 raise ParseError(f"header names column {name!r} more than once")
-        ts_idx = header.index(ts_column)
-        val_idx = header.index(value_column)
+        ts_idx, val_idx = header.index(ts_column), header.index(value_column)
 
-        stamps, values, lines = [], [], []
-        for line_no, row in enumerate(rows[1:], start=2):
-            if not row or all(not cell.strip() for cell in row):
+        by_stamp = {}  # timestamp -> value, in file order
+        for line_no, row in enumerate(reader, start=2):
+            if not "".join(row).strip():
                 continue
             if len(row) <= max(ts_idx, val_idx):
                 raise ParseError("too few fields", line_no)
-            stamps.append(_parse_timestamp(row[ts_idx], ts_column, line_no))
-            values.append(_parse_value(row[val_idx], line_no))
-            lines.append(line_no)
-        if len(stamps) < 2:
+            stamp = _parse_timestamp(row[ts_idx], ts_column, line_no)
+            value = _parse_value(row[val_idx], line_no)
+            if stamp in by_stamp:
+                raise DuplicateTimestamp(str(stamp), line_no)
+            by_stamp[stamp] = value
+        if len(by_stamp) < 2:
             raise ParseError("need at least 2 data rows")
-        if len(set(stamps)) != len(stamps):
-            first = {}
-            for s, line_no in zip(stamps, lines):
-                if first.setdefault(s, line_no) != line_no:
-                    raise DuplicateTimestamp(str(s), line_no)
-    order = np.argsort(np.asarray(stamps), kind="stable")
-    stamps_arr = np.asarray(stamps)[order]
-    values_arr = np.asarray(values, dtype=np.float64)[order]
-    return TimeSeries(stamps_arr, values_arr, KIND_RAW)
+    stamps, values = np.asarray(list(by_stamp)), np.asarray(list(by_stamp.values()))
+    order = np.argsort(stamps, kind="stable")
+    return TimeSeries(stamps[order], values[order], KIND_RAW)
 
 
 def write_csv(series: TimeSeries, path, value_column: str = "value") -> None:
@@ -211,8 +207,7 @@ def write_csv(series: TimeSeries, path, value_column: str = "value") -> None:
     with opened(path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow([ts_column, value_column])
-        for t, v in zip(series.timestamps, series.values):
-            writer.writerow([t, repr(float(v))])
+        writer.writerows(zip(series.timestamps.tolist(), map(repr, series.values.tolist())))
 
 
 def align_pair(a: TimeSeries, b: TimeSeries) -> AlignedPair:

@@ -96,6 +96,7 @@ DATED = "date,value\n" + "".join(
     f"2020-01-0{d},{v}\n"
     for d, v in enumerate(["-2.8e-43", "116", "166.1", "-3.5e16", "-1e308", "100", "100.5", "7"], 1)
 )
+TWO_FAULTS = "date,value\n2000-01-03,1.0\n2000-01-04,2.0\n2000-01-03,3.0\n2000-01-05,abc\n"
 SMALL_BASELINE = {"--hurst": "0.5", "--replicas": "2", "--length": "64", "--bins": "3"}
 
 
@@ -167,6 +168,8 @@ def run_main(argv, reads):
 # content errors used to leave the file out: "ParseError:row 3: bad value 'abc'"
 @example(command="map", x=PRICES, y="t,value\n0,1.0\n1,abc\n", same=False, options={})
 @example(command="surrogate", x=PRICES, y="t,value\n0,1\n1,2\n0,3\n", same=False, options={})
+# a repeated stamp on row 4 before a bad value on row 5 (test_series pins the row)
+@example(command="map", x=PRICES, y=TWO_FAULTS, same=False, options={})
 @example(command="map-lag", x="t,value\n0,1.0\n", y="", same=False, options={})
 @example(command="map-lag", x=PRICES, y="", same=False, options={"--bins": "3"})
 @example(command="surrogate", x=PRICES, y="", same=True, options={"--bins": "3", "--replicas": "2"})

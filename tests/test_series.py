@@ -96,8 +96,16 @@ class TestLoadCsv:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             load_csv(p, "value")
+        assert str(exc.value) == f"{p}: empty file"
+
+    def test_blank_first_line_is_a_header_without_columns(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("\nt,value\n0,1.0\n1,2.0\n")
+        with pytest.raises(ParseError) as exc:
+            load_csv(p, "value")
+        assert str(exc.value) == f"{p}: header must name a 'date' or 't' column"
 
     def test_rows_out_of_order_sorted(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -180,6 +188,23 @@ class TestLoadCsv:
         p = tmp_path / "a.csv"
         p.write_text("t,value\n0,1.0\n\n1,2.0\n")
         assert len(load_csv(p, "value")) == 2
+
+    def test_whitespace_cells_row_skipped_but_counted(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("t,value\n0,1.0\n , \n1,2.0\n")
+        assert list(load_csv(p, "value").values) == [1.0, 2.0]
+        p.write_text("t,value\n0,1.0\n , \n1,2.0\n1,3.0\n")
+        with pytest.raises(DuplicateTimestamp) as exc:
+            load_csv(p, "value")
+        assert str(exc.value) == f"{p}:5: 1"
+
+    def test_first_fault_in_file_order_reported(self, tmp_path):
+        # row 4 repeats a date and row 5 holds a bad value: row 4 is named
+        p = tmp_path / "two.csv"
+        p.write_text("date,value\n2000-01-03,1.0\n2000-01-04,2.0\n2000-01-03,3.0\n2000-01-05,abc\n")
+        with pytest.raises(DuplicateTimestamp) as exc:
+            load_csv(p, "value")
+        assert str(exc.value) == f"{p}:4: 2000-01-03"
 
     def test_round_trip_exact(self, tmp_path):
         s = index_series([1.25, -3.5, 0.1, 7.0])
