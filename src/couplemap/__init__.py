@@ -6,7 +6,9 @@ measures against fractional-Gaussian-noise and phase-randomized baselines.
 
 The names below are the ones the pipeline's users call, plus the error
 kinds; everything else (the measure families, seeds, intervals, fGn
-internals) is imported from its submodule.
+internals) is imported from its submodule. An error kind is one that a
+command can print, or one of the two signals (NoEdges, DegenerateDegrees)
+that measure_all turns into flags; every other refusal is a ValueError.
 """
 
 from .ensemble import (
@@ -22,20 +24,15 @@ from .errors import (
     CoupleMapError,
     DegenerateDegrees,
     DuplicateTimestamp,
-    EmptyDistribution,
     EmptyIntersection,
-    EmptyNetwork,
-    InvalidPartition,
     IoError,
     LagTooLarge,
     LengthTooShort,
-    MismatchedMeasureSets,
     NoEdges,
     NonPositiveValue,
     ParseError,
     TooFewSamples,
     TooManyBins,
-    WrongKind,
     ZeroVariance,
 )
 from .metrics import MEASURE_FIELDS, MeasureReport, measure_all
@@ -67,23 +64,18 @@ __all__ = [
     "DEFAULT_BIN_COUNT",
     "DegenerateDegrees",
     "DuplicateTimestamp",
-    "EmptyDistribution",
     "EmptyIntersection",
-    "EmptyNetwork",
     "EnsembleConfig",
-    "InvalidPartition",
     "IoError",
     "LagTooLarge",
     "LengthTooShort",
     "MEASURE_FIELDS",
     "MeasureReport",
-    "MismatchedMeasureSets",
     "NoEdges",
     "NonPositiveValue",
     "ParseError",
     "TooFewSamples",
     "TooManyBins",
-    "WrongKind",
     "ZeroVariance",
     "align_pair",
     "index_series",

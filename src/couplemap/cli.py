@@ -2,9 +2,11 @@
 
 Every subcommand prints the written file paths on stdout and reports any
 failure, a usage error included, as a single `Kind:detail` line on stderr
-with exit code 1. Each numeric flag is checked once, by the module that
-owns it (--bins here, against the number of samples to map and physical
-memory, before any B x B array exists).
+with exit code 1; Kind is an error kind that some command can print (see
+errors.py), or ValueError, TypeError, KeyError or MemoryError. Each numeric
+flag is checked once, by the module that owns it: --bins by netmap.check_bins,
+which map, map-lag and surrogate call here and baseline's EnsembleConfig
+calls when built, before any B x B array exists.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ from .ensemble import (
     write_json,
     write_summary_csv,
 )
-from .errors import CoupleMapError, ParseError, TooManyBins, naming, opened
+from .errors import CoupleMapError, ParseError, naming, opened
 from .metrics import MeasureReport, measure_all
 from .netmap import (
     DEFAULT_BIN_COUNT,
+    check_bins,
     joint_probability,
     map_lagged,
     map_pair,
@@ -54,24 +57,6 @@ def _hurst_list(text: str) -> tuple:
         return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad hurst list {text!r}") from None
-
-
-def _check_bins(bins: int, samples: int) -> None:
-    """Refuse a bin count below the measure battery's 3, one above the
-    number of samples to map, or one whose B x B int64 weight matrix
-    exceeds physical memory (where os.sysconf, a POSIX call, reports it)."""
-    if bins < 3:
-        raise ValueError("measure battery needs at least 3 bins")
-    if bins > samples:
-        raise TooManyBins(f"--bins {bins} exceeds the {samples} samples to map")
-    if not hasattr(os, "sysconf"):
-        return
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if 8 * bins * bins > memory:
-        raise TooManyBins(
-            f"--bins {bins} needs {8 * bins * bins} bytes per weight matrix, "
-            f"more than the {memory} bytes of physical memory"
-        )
 
 
 def _add_bins(p: argparse.ArgumentParser) -> None:
@@ -143,7 +128,7 @@ def _load_aligned(x_csv: str, y_csv: str, column: str, mode: str) -> AlignedPair
 
 def cmd_map(args) -> list:
     pair = _load_aligned(args.x_csv, args.y_csv, args.column, args.preprocess)
-    _check_bins(args.bins, pair.common_length)
+    check_bins(args.bins, pair.common_length)
     out_dir = _out_dir(args.out)
     return _write_network_files(map_pair(pair, bin_count=args.bins), out_dir)
 
@@ -151,7 +136,7 @@ def cmd_map(args) -> list:
 def cmd_map_lag(args) -> list:
     series = prepare(load_csv(args.csv, args.column), mode=args.preprocess)
     if args.lag < len(series):  # a longer lag is map_lagged's LagTooLarge
-        _check_bins(args.bins, len(series) - args.lag)
+        check_bins(args.bins, len(series) - args.lag)
     out_dir = _out_dir(args.out)
     net = map_lagged(series, lag=args.lag, bin_count=args.bins)
     return _write_network_files(net, out_dir)
@@ -166,7 +151,6 @@ def cmd_baseline(args) -> list:
         lag=args.lag,
         master_seed=args.seed,
     )
-    _check_bins(args.bins, args.length - args.lag)  # cfg refused lag >= length
     path = os.path.join(_out_dir(args.out), "baseline_summary.csv")
     write_summary_csv(run_fgn_ensemble(cfg), path)
     return [path]
@@ -174,7 +158,7 @@ def cmd_baseline(args) -> list:
 
 def cmd_surrogate(args) -> list:
     pair = _load_aligned(args.x_csv, args.y_csv, args.column, args.preprocess)
-    _check_bins(args.bins, pair.common_length)
+    check_bins(args.bins, pair.common_length)
     path = os.path.join(_out_dir(args.out), "surrogate_summary.csv")
     summary = run_surrogate_pair(
         pair.x,

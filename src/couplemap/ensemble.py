@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LagTooLarge, MismatchedMeasureSets, ParseError, TooFewSamples, opened
+from .errors import LagTooLarge, ParseError, TooFewSamples, opened
 from .metrics import MEASURE_FIELDS, measure_many
-from .netmap import DEFAULT_BIN_COUNT, map_lagged_rows, map_pair_rows
+from .netmap import DEFAULT_BIN_COUNT, check_bins, map_lagged_rows, map_pair_rows
 from .series import AlignedPair, TimeSeries
 from .synth import check_seed, fgn_stacks, surrogate_stacks
 
@@ -112,6 +112,9 @@ class EnsembleConfig:
         object.__setattr__(self, "master_seed", check_seed(self.master_seed))
         if self.coupling not in (COUPLING_LAG, COUPLING_PAIR):
             raise ValueError(f"unknown coupling mode {self.coupling!r}")
+        # each lag-coupled network maps series_length - lag samples
+        lagged = self.coupling == COUPLING_LAG
+        check_bins(self.bin_count, self.series_length - (self.lag if lagged else 0))
 
 
 @dataclass(frozen=True)
@@ -221,7 +224,7 @@ def radar_normalize(systems: dict) -> dict:
     reference = set(measure_names)
     for name in names[1:]:
         if set(systems[name]) != reference:
-            raise MismatchedMeasureSets(
+            raise ValueError(
                 f"system {name!r} does not share the measure set of {names[0]!r}"
             )
     if UNCOUPLED_SYSTEM not in systems:

@@ -1,8 +1,11 @@
 """Exception hierarchy shared by all couplemap modules.
 
-Every error the library raises subclasses :class:`CoupleMapError`, and the
-class name doubles as the machine-parsable error kind printed by the CLI
-(``Kind:detail``). Every file is opened through :func:`opened`, and
+A :class:`CoupleMapError` kind is either one that a command can print, or one
+of the two signals that ``metrics.measure_all`` turns into flags
+(:class:`NoEdges`, :class:`DegenerateDegrees`). The class name doubles as the
+machine-parsable error kind printed by the CLI (``Kind:detail``). Every other
+refusal, such as a bad argument to a library call that no command makes, is a
+``ValueError``. Every file is opened through :func:`opened`, and
 :func:`naming`, which it uses, is the one place a path enters a message, so a
 file error names its file, and its row where there is one, in that one line.
 """
@@ -29,7 +32,7 @@ class DuplicateTimestamp(CoupleMapError):
 
 
 class EmptyIntersection(CoupleMapError):
-    """Two series have no common timestamps."""
+    """Two series have fewer than two common timestamps."""
 
 
 class NonPositiveValue(CoupleMapError):
@@ -38,10 +41,6 @@ class NonPositiveValue(CoupleMapError):
 
 class ZeroVariance(CoupleMapError):
     """Standardization of a constant series."""
-
-
-class WrongKind(CoupleMapError):
-    """Series fed to a pipeline step that expects a different kind tag."""
 
 
 class LengthTooShort(CoupleMapError):
@@ -56,12 +55,8 @@ class TooManyBins(CoupleMapError):
     """Bin count above the samples to map, or beyond physical memory."""
 
 
-class EmptyNetwork(CoupleMapError):
-    """Network carries zero samples."""
-
-
-class EmptyDistribution(CoupleMapError):
-    """Joint probability with no positive cell."""
+class TooFewSamples(CoupleMapError):
+    """Fewer than two samples for a confidence interval, or fewer than two replicas."""
 
 
 class NoEdges(CoupleMapError):
@@ -70,18 +65,6 @@ class NoEdges(CoupleMapError):
 
 class DegenerateDegrees(CoupleMapError):
     """All edge-endpoint degrees identical: assortativity undefined."""
-
-
-class InvalidPartition(CoupleMapError):
-    """Partition does not label every node."""
-
-
-class TooFewSamples(CoupleMapError):
-    """Fewer than two samples for a confidence interval, or fewer than two replicas."""
-
-
-class MismatchedMeasureSets(CoupleMapError):
-    """Systems under comparison do not share one measure-name set."""
 
 
 @contextlib.contextmanager

@@ -35,12 +35,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    DegenerateDegrees,
-    EmptyDistribution,
-    InvalidPartition,
-    NoEdges,
-)
+from .errors import DegenerateDegrees, NoEdges
 from .netmap import CouplingNetwork, joint_probability
 from .series import stack_size
 
@@ -75,7 +70,7 @@ def deformation_ratio(p: np.ndarray) -> float:
     """
     p = np.asarray(p, dtype=np.float64)
     if not np.any(p > 0):
-        raise EmptyDistribution("joint probability has no positive cell")
+        raise ValueError("joint probability has no positive cell")
     u, v = _diagonal_coordinates(len(p))
     var_main = max(float((p * u * u).sum() - (p * u).sum() ** 2), 0.0)
     var_anti = max(float((p * v * v).sum() - (p * v).sum() ** 2), 0.0)
@@ -558,7 +553,7 @@ def modularity_stats(net: CouplingNetwork, partition) -> dict:
     """
     labels = np.asarray(partition, dtype=np.int64)
     if labels.shape != (net.bin_count,):
-        raise InvalidPartition("partition must label every node")
+        raise ValueError("partition must label every node")
     same = labels[:, None] == labels[None, :]
 
     s = (net.weights + net.weights.T).astype(np.float64)

@@ -16,11 +16,12 @@ per distinct value, and every cell takes its value's text.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyNetwork, LagTooLarge, opened
+from .errors import LagTooLarge, TooManyBins, opened
 from .series import AlignedPair, TimeSeries
 
 DEFAULT_BIN_COUNT = 50
@@ -48,7 +49,7 @@ class CouplingNetwork:
         if int(w.sum()) != self.sample_count:
             raise ValueError("weights must sum to sample_count")
         if self.sample_count < 1:
-            raise EmptyNetwork("a network needs at least one sample")
+            raise ValueError("a network needs at least one sample")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -74,6 +75,24 @@ def bin_indices(values: np.ndarray, bin_count: int) -> np.ndarray:
         bin_count * (values - lo), span, out=np.zeros_like(values), where=span != 0
     )
     return np.clip(np.floor(scaled).astype(np.int64), 0, bin_count - 1)
+
+
+def check_bins(bins: int, samples: int) -> None:
+    """Refuse a bin count below the measure battery's 3, one above the
+    number of samples to map, or one whose B x B int64 weight matrix
+    exceeds physical memory (where os.sysconf, a POSIX call, reports it)."""
+    if bins < 3:
+        raise ValueError("measure battery needs at least 3 bins")
+    if bins > samples:
+        raise TooManyBins(f"--bins {bins} exceeds the {samples} samples to map")
+    if not hasattr(os, "sysconf"):
+        return
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * bins * bins > memory:
+        raise TooManyBins(
+            f"--bins {bins} needs {8 * bins * bins} bytes per weight matrix, "
+            f"more than the {memory} bytes of physical memory"
+        )
 
 
 def _networks(xi: np.ndarray, yi: np.ndarray, bin_count: int):

@@ -21,7 +21,6 @@ from .errors import (
     EmptyIntersection,
     NonPositiveValue,
     ParseError,
-    WrongKind,
     ZeroVariance,
     opened,
 )
@@ -228,7 +227,7 @@ def align_pair(a: TimeSeries, b: TimeSeries) -> AlignedPair:
         raise EmptyIntersection("fewer than 2 common timestamps")
     for s in (a, b):
         if s.kind == KIND_STANDARDIZED and len(common) != len(s):
-            raise WrongKind(
+            raise ValueError(
                 "cannot drop timestamps from a standardized series; "
                 "align before standardizing"
             )
@@ -241,7 +240,7 @@ def align_pair(a: TimeSeries, b: TimeSeries) -> AlignedPair:
 def log_returns(s: TimeSeries) -> TimeSeries:
     """ln(s[t+1] / s[t]), stamped at the later endpoint of each ratio."""
     if s.kind != KIND_RAW:
-        raise WrongKind(f"log_returns expects kind=raw, got {s.kind}")
+        raise ValueError(f"log_returns expects kind=raw, got {s.kind}")
     if np.any(s.values <= 0):
         raise NonPositiveValue("log_returns needs strictly positive values")
     with np.errstate(over="ignore", divide="ignore"):
@@ -256,7 +255,7 @@ def log_returns(s: TimeSeries) -> TimeSeries:
 def standardize(s: TimeSeries) -> TimeSeries:
     """Subtract the mean and divide by the population (divisor N) std."""
     if s.kind == KIND_STANDARDIZED:
-        raise WrongKind("series is already standardized")
+        raise ValueError("series is already standardized")
     return TimeSeries(s.timestamps, standardized_values(s.values), KIND_STANDARDIZED)
 
 

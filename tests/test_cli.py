@@ -1,13 +1,16 @@
 """End-to-end command-line contracts: files, exit codes, error lines."""
 
+import ast
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import couplemap
 from conftest import write_series_csv
-from couplemap import cli
+from couplemap import CoupleMapError, cli
 from couplemap.cli import main
 from couplemap.ensemble import (
     SUMMARY_COLUMNS,
@@ -738,6 +741,82 @@ class TestOneFailurePath:
             "--bins", "3", "--replicas", "3", "--out", str(tmp_path / "o"),
         )
         assert (code, stdout, stderr) == (1, "", "ValueError:values must all be finite\n")
+
+
+def _text_csv(path, text: str) -> str:
+    path.write_text(text)
+    return str(path)
+
+
+def _prices(path) -> str:
+    return write_series_csv(path, [100.0, 101.0, 99.0, 102.0, 100.5, 103.0, 101.0, 104.0])
+
+
+def _dated(path) -> str:
+    dates = np.array(["2000-01-03", "2000-01-04", "2000-01-05", "2000-01-06"])
+    return write_series_csv(path, [100.0, 101.0, 99.0, 102.0], dates=dates)
+
+
+# One command per error kind that a command can print, from inputs under d
+PRINTABLE_KINDS = {
+    "IoError": lambda d: ["map", str(d / "absent.csv"), _prices(d / "y.csv")],
+    "ParseError": lambda d: [
+        "map", _text_csv(d / "x.csv", "t,value\n0,1.0\n1,abc\n"), _prices(d / "y.csv")
+    ],
+    "DuplicateTimestamp": lambda d: [
+        "map", _text_csv(d / "x.csv", "t,value\n0,1.0\n0,2.0\n"), _prices(d / "y.csv")
+    ],
+    "EmptyIntersection": lambda d: [
+        "map",
+        _text_csv(d / "x.csv", "t,value\n0,1.0\n1,2.0\n"),
+        _text_csv(d / "y.csv", "t,value\n10,1.0\n11,2.0\n"),
+    ],
+    "NonPositiveValue": lambda d: [
+        "map", write_series_csv(d / "x.csv", [1.0, -2.0, 3.0, 4.0]), _prices(d / "y.csv")
+    ],
+    "ZeroVariance": lambda d: [
+        "map", write_series_csv(d / "x.csv", [5.0] * 8), _prices(d / "y.csv")
+    ],
+    # 4 dated prices leave 3 returns: 3 bins fit, a surrogate needs 4 points
+    "LengthTooShort": lambda d: [
+        "surrogate", _dated(d / "x.csv"), _dated(d / "y.csv"), "--bins", "3"
+    ],
+    "LagTooLarge": lambda d: ["map-lag", _prices(d / "x.csv"), "--lag", "9"],
+    "TooManyBins": lambda d: [
+        "map", _prices(d / "x.csv"), _prices(d / "y.csv"), "--bins", "100000"
+    ],
+    "TooFewSamples": lambda d: [
+        "baseline", "--hurst", "0.5", "--replicas", "1", "--length", "64"
+    ],
+}
+
+
+class TestErrorKinds:
+    """Every CoupleMapError kind but measure_all's two flag signals is one
+    that a command prints; every other refusal is a ValueError."""
+
+    @pytest.mark.parametrize("kind", PRINTABLE_KINDS)
+    def test_command_prints_kind(self, kind, tmp_path, capsys):
+        argv = PRINTABLE_KINDS[kind](tmp_path)
+        code, stdout, stderr = run_cli(capsys, *argv, "--out", str(tmp_path / "o"))
+        assert (code, stdout) == (1, ""), stderr
+        assert stderr.startswith(f"{kind}:")
+        assert stderr.count("\n") == 1 and stderr.endswith("\n")
+
+    def test_every_kind_is_printable_or_a_flag_signal(self):
+        kinds = {k.__name__ for k in CoupleMapError.__subclasses__()}
+        assert set(PRINTABLE_KINDS) == kinds - {"NoEdges", "DegenerateDegrees"}
+
+    def test_all_is_the_imported_public_names(self):
+        tree = ast.parse(Path(couplemap.__file__).read_text(encoding="utf-8"))
+        imported = [
+            alias.asname or alias.name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        ]
+        assert sorted(couplemap.__all__) == sorted(imported)
+        assert len(set(couplemap.__all__)) == len(couplemap.__all__)
 
 
 class TestHelp:

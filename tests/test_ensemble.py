@@ -10,9 +10,9 @@ from scipy.stats import norm
 from couplemap import (
     EnsembleConfig,
     LagTooLarge,
-    MismatchedMeasureSets,
     ParseError,
     TooFewSamples,
+    TooManyBins,
     radar_normalize,
     read_summary_csv,
     run_fgn_ensemble,
@@ -132,13 +132,37 @@ class TestEnsembleConfig:
             EnsembleConfig(lag=0)
         with pytest.raises(LagTooLarge, match="^lag 64 >= series length 64$"):
             EnsembleConfig(series_length=64, lag=64)
-        assert EnsembleConfig(series_length=64, lag=63).lag == 63
+        with pytest.raises(TooManyBins, match="^--bins 50 exceeds the 1 samples to map$"):
+            EnsembleConfig(series_length=64, lag=63)
+        assert EnsembleConfig(series_length=64, lag=61, bin_count=3).lag == 61
         with pytest.raises(ValueError):
             EnsembleConfig(master_seed=2**64)
         with pytest.raises(TypeError, match="seed must be an integer"):
             EnsembleConfig(master_seed=1.5)
         with pytest.raises(ValueError):
             EnsembleConfig(coupling="mutual")
+
+    @pytest.mark.parametrize(
+        "bins, kind, line",
+        [
+            (0, ValueError, "^measure battery needs at least 3 bins$"),
+            (2, ValueError, "^measure battery needs at least 3 bins$"),
+            (62, TooManyBins, "^--bins 62 exceeds the 61 samples to map$"),
+        ],
+    )
+    def test_bins_checked_when_built(self, bins, kind, line, monkeypatch):
+        def draw(*args):
+            raise AssertionError("an fGn stack was drawn before bin_count was checked")
+
+        monkeypatch.setattr(ensemble, "fgn_stacks", draw)
+        with pytest.raises(kind, match=line):
+            ensemble.run_fgn_ensemble(EnsembleConfig(series_length=64, lag=3, bin_count=bins))
+
+    def test_pair_coupled_bins_checked_against_series_length(self):
+        # a pair-coupled network maps every one of its series_length samples
+        assert EnsembleConfig(series_length=64, coupling="pair", bin_count=64).bin_count == 64
+        with pytest.raises(TooManyBins, match="^--bins 65 exceeds the 64 samples to map$"):
+            EnsembleConfig(series_length=64, coupling="pair", bin_count=65)
 
     def test_list_coerced_to_tuple(self):
         assert EnsembleConfig(hurst_values=[0.4]).hurst_values == (0.4,)
@@ -472,7 +496,8 @@ class TestRadarNormalize:
         assert report["distance_to_uncoupled"]["far"] == pytest.approx(math.sqrt(2.0))
 
     def test_mismatched_sets_rejected(self):
-        with pytest.raises(MismatchedMeasureSets):
+        line = "^system 'other' does not share the measure set of 'fgn_h0.5'$"
+        with pytest.raises(ValueError, match=line):
             radar_normalize(
                 {UNCOUPLED_SYSTEM: self._vec(a=1.0), "other": self._vec(b=1.0)}
             )

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from conftest import net_from, random_weights
 from couplemap import (
-    EmptyNetwork,
     LagTooLarge,
     joint_probability,
     map_lagged,
@@ -117,7 +116,7 @@ class TestCouplingNetwork:
             CouplingNetwork(3, np.zeros((2, 2), dtype=int), 0)
 
     def test_empty_network_rejected(self):
-        with pytest.raises(EmptyNetwork):
+        with pytest.raises(ValueError, match="^a network needs at least one sample$"):
             CouplingNetwork(3, np.zeros((3, 3), dtype=np.int64), 0)
 
     def test_weights_read_only(self):
