@@ -6,9 +6,8 @@ measures against fractional-Gaussian-noise and phase-randomized baselines.
 
 The names below are the ones the pipeline's users call, plus the error
 kinds; everything else (the measure families, seeds, intervals, fGn
-internals) is imported from its submodule. An error kind is one that a
-command can print, or one of the two signals (NoEdges, DegenerateDegrees)
-that measure_all turns into flags; every other refusal is a ValueError.
+internals) is imported from its submodule. Every error kind is one that a
+command can print; every other refusal is a ValueError.
 """
 
 from .ensemble import (
@@ -22,13 +21,11 @@ from .ensemble import (
 )
 from .errors import (
     CoupleMapError,
-    DegenerateDegrees,
     DuplicateTimestamp,
     EmptyIntersection,
     IoError,
     LagTooLarge,
     LengthTooShort,
-    NoEdges,
     NonPositiveValue,
     ParseError,
     TooFewSamples,
@@ -62,7 +59,6 @@ __all__ = [
     "AlignedPair",
     "CoupleMapError",
     "DEFAULT_BIN_COUNT",
-    "DegenerateDegrees",
     "DuplicateTimestamp",
     "EmptyIntersection",
     "EnsembleConfig",
@@ -71,7 +67,6 @@ __all__ = [
     "LengthTooShort",
     "MEASURE_FIELDS",
     "MeasureReport",
-    "NoEdges",
     "NonPositiveValue",
     "ParseError",
     "TooFewSamples",

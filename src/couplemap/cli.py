@@ -2,7 +2,7 @@
 
 Every subcommand prints the written file paths on stdout and reports any
 failure, a usage error included, as a single `Kind:detail` line on stderr
-with exit code 1; Kind is an error kind that some command can print (see
+with exit code 1; Kind is a CoupleMapError kind (every one is printable, see
 errors.py), or ValueError, TypeError, KeyError or MemoryError. Each numeric
 flag is checked once, by the module that owns it: --bins by netmap.check_bins,
 which map, map-lag and surrogate call here and baseline's EnsembleConfig
@@ -36,6 +36,7 @@ from .netmap import (
     DEFAULT_BIN_COUNT,
     check_bins,
     joint_probability,
+    lagged_samples,
     map_lagged,
     map_pair,
     write_adjacency_tsv,
@@ -102,7 +103,9 @@ def _add_seed(p: argparse.ArgumentParser) -> None:
 
 def _out_dir(path: str) -> str:
     """Create the --out directory; called once a command's flags and inputs
-    are checked, before anything is drawn, mapped or measured."""
+    are checked, before anything is drawn, mapped or measured. Still to come:
+    surrogate's --replicas, --seed and 4-sample minimum, and the overflow
+    check on a raw range times --bins."""
     with naming(path):
         os.makedirs(path, exist_ok=True)
     return path
@@ -135,8 +138,7 @@ def cmd_map(args) -> list:
 
 def cmd_map_lag(args) -> list:
     series = prepare(load_csv(args.csv, args.column), mode=args.preprocess)
-    if args.lag < len(series):  # a longer lag is map_lagged's LagTooLarge
-        check_bins(args.bins, len(series) - args.lag)
+    check_bins(args.bins, lagged_samples(len(series), args.lag))
     out_dir = _out_dir(args.out)
     net = map_lagged(series, lag=args.lag, bin_count=args.bins)
     return _write_network_files(net, out_dir)

@@ -24,9 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LagTooLarge, ParseError, TooFewSamples, opened
+from .errors import ParseError, TooFewSamples, opened
 from .metrics import MEASURE_FIELDS, measure_many
-from .netmap import DEFAULT_BIN_COUNT, check_bins, map_lagged_rows, map_pair_rows
+from .netmap import (
+    DEFAULT_BIN_COUNT,
+    check_bins,
+    lagged_samples,
+    map_lagged_rows,
+    map_pair_rows,
+)
 from .series import AlignedPair, TimeSeries
 from .synth import check_seed, fgn_stacks, surrogate_stacks
 
@@ -105,16 +111,13 @@ class EnsembleConfig:
             raise ValueError(
                 f"series_length must be at least 64, got {self.series_length}"
             )
-        if self.lag < 1:
-            raise ValueError(f"lag must be at least 1, got {self.lag}")
-        if self.lag >= self.series_length:
-            raise LagTooLarge(f"lag {self.lag} >= series length {self.series_length}")
+        samples = lagged_samples(self.series_length, self.lag)
         object.__setattr__(self, "master_seed", check_seed(self.master_seed))
         if self.coupling not in (COUPLING_LAG, COUPLING_PAIR):
             raise ValueError(f"unknown coupling mode {self.coupling!r}")
         # each lag-coupled network maps series_length - lag samples
         lagged = self.coupling == COUPLING_LAG
-        check_bins(self.bin_count, self.series_length - (self.lag if lagged else 0))
+        check_bins(self.bin_count, samples if lagged else self.series_length)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,12 @@
 """Exception hierarchy shared by all couplemap modules.
 
-A :class:`CoupleMapError` kind is either one that a command can print, or one
-of the two signals that ``metrics.measure_all`` turns into flags
-(:class:`NoEdges`, :class:`DegenerateDegrees`). The class name doubles as the
-machine-parsable error kind printed by the CLI (``Kind:detail``). Every other
-refusal, such as a bad argument to a library call that no command makes, is a
-``ValueError``. Every file is opened through :func:`opened`, and
-:func:`naming`, which it uses, is the one place a path enters a message, so a
-file error names its file, and its row where there is one, in that one line.
+Every :class:`CoupleMapError` kind is one that a command can print; the class
+name doubles as the machine-parsable error kind printed by the CLI
+(``Kind:detail``). Every other refusal, such as a bad argument to a library
+call that no command makes, is a ``ValueError``. Every file is opened through
+:func:`opened`, and :func:`naming`, which it uses, is the one place a path
+enters a message, so a file error names its file, and its row where there is
+one, in that one line.
 """
 
 import contextlib
@@ -57,14 +56,6 @@ class TooManyBins(CoupleMapError):
 
 class TooFewSamples(CoupleMapError):
     """Fewer than two samples for a confidence interval, or fewer than two replicas."""
-
-
-class NoEdges(CoupleMapError):
-    """Graph operation that needs at least one edge."""
-
-
-class DegenerateDegrees(CoupleMapError):
-    """All edge-endpoint degrees identical: assortativity undefined."""
 
 
 @contextlib.contextmanager

@@ -35,7 +35,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateDegrees, NoEdges
 from .netmap import CouplingNetwork, joint_probability
 from .series import stack_size
 
@@ -209,20 +208,21 @@ def _bfs_distance_sums(adj: np.ndarray) -> tuple[int, int]:
     return total, count
 
 
-def path_stats(net: CouplingNetwork) -> dict:
+def path_stats(net: CouplingNetwork) -> dict | None:
     """Mean unweighted shortest-path lengths, self-loops ignored.
 
     Directed means run over all ordered reachable pairs, undirected over
     connected unordered pairs of the symmetrized graph; unreachable pairs
     are excluded rather than imputed. A node without an edge to or from
     another node lies on no path, so the search runs on the other nodes
-    only (about 100 of 200 bins in a Student-t(3) map network).
+    only (about 100 of 200 bins in a Student-t(3) map network). None when
+    no edge leaves the diagonal, where both means are undefined.
     """
     a = _binarized(net)
     np.fill_diagonal(a, False)
     nodes = np.flatnonzero((a | a.T).any(axis=1))
     if not len(nodes):
-        raise NoEdges("no edges outside the diagonal")
+        return None
     a = a[nodes][:, nodes]  # two takes; np.ix_ indexing is slower
     d_total, d_count = _bfs_distance_sums(a)
     u_total, u_count = _bfs_distance_sums(a | a.T)
@@ -242,7 +242,7 @@ def _pearson_int(m: int, sxy: int, sp2: int, sq2: int) -> tuple[int, int]:
     return 4 * m * sxy - sp2 * sp2, 2 * m * sq2 - sp2 * sp2
 
 
-def assortativity_stats(net: CouplingNetwork) -> dict:
+def assortativity_stats(net: CouplingNetwork) -> dict | None:
     """Degree-mixing coefficients over the binarized edge list.
 
     scalar_assort_coef correlates total degrees across edge endpoints with
@@ -251,8 +251,8 @@ def assortativity_stats(net: CouplingNetwork) -> dict:
     distinct total-degree value as a category on the directed mixing
     matrix. The *_var values are delete-one-edge jackknife sums;
     leave-one-out coefficients that are themselves degenerate are skipped.
-    When all endpoint degrees are identical (fewer than 2 edges included)
-    both coefficients are undefined and DegenerateDegrees is raised.
+    None when all endpoint degrees are identical (fewer than 2 edges
+    included), where both coefficients are undefined.
     """
     a = _binarized(net)
     k_out = a.sum(axis=1)
@@ -260,8 +260,6 @@ def assortativity_stats(net: CouplingNetwork) -> dict:
     k_tot = (k_out + k_in).astype(np.int64)
     src, dst = np.nonzero(a)
     m = len(src)
-    if m < 2:
-        raise DegenerateDegrees(f"need at least 2 edges, got {m}")
     x = k_tot[src]
     y = k_tot[dst]
 
@@ -269,8 +267,8 @@ def assortativity_stats(net: CouplingNetwork) -> dict:
     sp2 = int((x + y).sum())
     sq2 = int((x * x + y * y).sum())
     num, den = _pearson_int(m, sxy, sp2, sq2)
-    if den == 0:
-        raise DegenerateDegrees("all endpoint degrees identical")
+    if den == 0:  # so also with fewer than 2 edges
+        return None
     scalar_coef = num / den
 
     mp = m - 1
@@ -624,8 +622,9 @@ MEASURE_FIELDS = tuple(f.name for f in fields(MeasureReport))[:21]
 def measure_all(net: CouplingNetwork) -> MeasureReport:
     """Run the full battery on one network.
 
-    Degenerate sub-measures never abort the report: their fields are set to
-    0 and their names recorded in ``flags``.
+    Undefined families never abort the report: where path_stats or
+    assortativity_stats returns None, their fields are set to 0.0 and their
+    names recorded in ``flags``.
     """
     return measure_many([net])[0]
 
@@ -656,23 +655,18 @@ def _report(
 ) -> MeasureReport:
     values = {**deg, **clu, "deformation_R": deformation_ratio(joint_probability(net))}
     flags: list[str] = []
-
-    try:
-        values.update(path_stats(net))
-    except NoEdges:
-        values.update(dict.fromkeys(_PATH_FIELDS, 0.0))
-        flags.extend(_PATH_FIELDS)
-
-    try:
-        values.update(assortativity_stats(net))
-    except DegenerateDegrees:
-        values.update(dict.fromkeys(_ASSORT_FIELDS, 0.0))
-        flags.extend(_ASSORT_FIELDS)
-
+    for names, family in (
+        (_PATH_FIELDS, path_stats(net)),
+        (_ASSORT_FIELDS, assortativity_stats(net)),
+    ):
+        if family is None:
+            family = dict.fromkeys(names, 0.0)
+            flags += names
+        values.update(family)
     values.update(modularity_stats(net, labels))
     return MeasureReport(
         **values,
         bin_count=net.bin_count,
         sample_count=net.sample_count,
-        flags=tuple(sorted(set(flags))),
+        flags=tuple(sorted(flags)),
     )

@@ -84,15 +84,25 @@ def check_bins(bins: int, samples: int) -> None:
     if bins < 3:
         raise ValueError("measure battery needs at least 3 bins")
     if bins > samples:
-        raise TooManyBins(f"--bins {bins} exceeds the {samples} samples to map")
+        raise TooManyBins(f"{bins} bins exceed the {samples} samples to map")
     if not hasattr(os, "sysconf"):
         return
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if 8 * bins * bins > memory:
         raise TooManyBins(
-            f"--bins {bins} needs {8 * bins * bins} bytes per weight matrix, "
+            f"{bins} bins need {8 * bins * bins} bytes per weight matrix, "
             f"more than the {memory} bytes of physical memory"
         )
+
+
+def lagged_samples(length: int, lag: int) -> int:
+    """Samples a series of length points maps against its own lag; refuse a
+    lag below 1 or one that leaves no sample."""
+    if lag < 1:
+        raise ValueError(f"lag must be at least 1, got {lag}")
+    if lag >= length:
+        raise LagTooLarge(f"lag {lag} >= series length {length}")
+    return length - lag
 
 
 def _networks(xi: np.ndarray, yi: np.ndarray, bin_count: int):
@@ -121,10 +131,7 @@ def map_lagged_rows(values: np.ndarray, lag: int, bin_count: int):
 
     The rows are binned at once; their networks are counted as they are
     asked for."""
-    if lag < 1:
-        raise ValueError("lag must be >= 1")
-    if lag >= values.shape[1]:
-        raise LagTooLarge(f"lag {lag} >= series length {values.shape[1]}")
+    lagged_samples(values.shape[1], lag)
     idx = bin_indices(values, bin_count)
     return _networks(idx[:, :-lag], idx[:, lag:], bin_count)
 

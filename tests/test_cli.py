@@ -169,7 +169,7 @@ class TestBinsGuard:
         assert stdout == ""
         # baseline maps --length less --lag (1 by default) samples per network
         samples = {"map": 239, "map-lag": 248, "surrogate": 239, "baseline": 63}[command]
-        assert stderr == f"TooManyBins:--bins 100000 exceeds the {samples} samples to map\n"
+        assert stderr == f"TooManyBins:100000 bins exceed the {samples} samples to map\n"
 
     def test_baseline_bins_above_lagged_samples(self, tmp_path, capsys, monkeypatch):
         def work(*args, **kwargs):
@@ -183,7 +183,7 @@ class TestBinsGuard:
             "baseline", "--hurst", "0.5", "--replicas", "2", "--length", "64",
             "--lag", "62", "--bins", "50", "--out", str(out),
         )
-        line = "TooManyBins:--bins 50 exceeds the 2 samples to map\n"
+        line = "TooManyBins:50 bins exceed the 2 samples to map\n"
         assert (code, stdout, stderr) == (1, "", line)
         assert not out.exists()
 
@@ -211,7 +211,7 @@ class TestBinsGuard:
         code, stdout, stderr = run_cli(capsys, "map", x, y, "--bins", "23")
         assert code == 1
         assert stdout == ""
-        assert stderr.startswith("TooManyBins:--bins 23 needs 4232 bytes")
+        assert stderr.startswith("TooManyBins:23 bins need 4232 bytes")
         assert stderr.count("\n") == 1
 
 
@@ -666,8 +666,8 @@ class TestOneFailurePath:
     @pytest.mark.parametrize(
         ("argv", "line"),
         [
-            (["map-lag", "X", "--lag", "0"], "ValueError:lag must be >= 1"),
-            (["map-lag", "X", "--lag", "-2"], "ValueError:lag must be >= 1"),
+            (["map-lag", "X", "--lag", "0"], "ValueError:lag must be at least 1, got 0"),
+            (["map-lag", "X", "--lag", "-2"], "ValueError:lag must be at least 1, got -2"),
             (
                 ["surrogate", "X", "Y", "--replicas", "0"],
                 "TooFewSamples:need at least 2 replicas, got 0",
@@ -701,6 +701,23 @@ class TestOneFailurePath:
             "--bins", "3", "--lag", "64", "--out", str(out),
         )
         assert (code, stdout, stderr) == (1, "", "LagTooLarge:lag 64 >= series length 64\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("lag", "line"),
+        [
+            ("0", "ValueError:lag must be at least 1, got 0"),
+            ("9", "LagTooLarge:lag 9 >= series length 5"),
+        ],
+    )
+    def test_map_lag_refused_before_out(self, lag, line, tmp_path, capsys):
+        # six prices leave five returns
+        x = write_series_csv(tmp_path / "x.csv", [100.0, 101.0, 99.0, 102.0, 100.5, 103.0])
+        out = tmp_path / "o"
+        code, stdout, stderr = run_cli(
+            capsys, "map-lag", x, "--lag", lag, "--bins", "3", "--out", str(out)
+        )
+        assert (code, stdout, stderr) == (1, "", line + "\n")
         assert not out.exists()
 
     def test_memory_error(self, tmp_path, capsys, monkeypatch):
@@ -792,8 +809,8 @@ PRINTABLE_KINDS = {
 
 
 class TestErrorKinds:
-    """Every CoupleMapError kind but measure_all's two flag signals is one
-    that a command prints; every other refusal is a ValueError."""
+    """Every CoupleMapError kind is one that a command prints; every other
+    refusal is a ValueError."""
 
     @pytest.mark.parametrize("kind", PRINTABLE_KINDS)
     def test_command_prints_kind(self, kind, tmp_path, capsys):
@@ -803,9 +820,9 @@ class TestErrorKinds:
         assert stderr.startswith(f"{kind}:")
         assert stderr.count("\n") == 1 and stderr.endswith("\n")
 
-    def test_every_kind_is_printable_or_a_flag_signal(self):
+    def test_every_kind_is_printable(self):
         kinds = {k.__name__ for k in CoupleMapError.__subclasses__()}
-        assert set(PRINTABLE_KINDS) == kinds - {"NoEdges", "DegenerateDegrees"}
+        assert set(PRINTABLE_KINDS) == kinds
 
     def test_all_is_the_imported_public_names(self):
         tree = ast.parse(Path(couplemap.__file__).read_text(encoding="utf-8"))

@@ -132,7 +132,7 @@ class TestEnsembleConfig:
             EnsembleConfig(lag=0)
         with pytest.raises(LagTooLarge, match="^lag 64 >= series length 64$"):
             EnsembleConfig(series_length=64, lag=64)
-        with pytest.raises(TooManyBins, match="^--bins 50 exceeds the 1 samples to map$"):
+        with pytest.raises(TooManyBins, match="^50 bins exceed the 1 samples to map$"):
             EnsembleConfig(series_length=64, lag=63)
         assert EnsembleConfig(series_length=64, lag=61, bin_count=3).lag == 61
         with pytest.raises(ValueError):
@@ -147,7 +147,7 @@ class TestEnsembleConfig:
         [
             (0, ValueError, "^measure battery needs at least 3 bins$"),
             (2, ValueError, "^measure battery needs at least 3 bins$"),
-            (62, TooManyBins, "^--bins 62 exceeds the 61 samples to map$"),
+            (62, TooManyBins, "^62 bins exceed the 61 samples to map$"),
         ],
     )
     def test_bins_checked_when_built(self, bins, kind, line, monkeypatch):
@@ -161,7 +161,7 @@ class TestEnsembleConfig:
     def test_pair_coupled_bins_checked_against_series_length(self):
         # a pair-coupled network maps every one of its series_length samples
         assert EnsembleConfig(series_length=64, coupling="pair", bin_count=64).bin_count == 64
-        with pytest.raises(TooManyBins, match="^--bins 65 exceeds the 64 samples to map$"):
+        with pytest.raises(TooManyBins, match="^65 bins exceed the 64 samples to map$"):
             EnsembleConfig(series_length=64, coupling="pair", bin_count=65)
 
     def test_list_coerced_to_tuple(self):

@@ -1,5 +1,7 @@
-"""Every file the package opens goes through errors.opened, nowhere else, and
-only errors.py turns an OSError into an error or puts a path into a message."""
+"""Every file the package opens goes through errors.opened, nowhere else;
+only errors.py turns an OSError into an error or puts a path into a message;
+and only errors.py and cli.py catch a CoupleMapError kind, since every kind
+is one a command prints rather than a signal for other modules to handle."""
 
 import ast
 from pathlib import Path
@@ -64,3 +66,34 @@ def test_paths_named_only_in_errors():
     assert sites == []
     found = {what for _, what in _boundary_sites(SRC / "couplemap" / "errors.py")}
     assert found == {"except OSError", "f-string formats path"}, "errors.naming is gone"
+
+
+def _kinds():
+    """CoupleMapError and every class errors.py defines on it."""
+    tree = ast.parse((SRC / "couplemap" / "errors.py").read_text(encoding="utf-8"))
+    return {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
+def _caught_kinds(path: Path, kinds):
+    """(line, kind) of each except clause that names an error kind."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for t in caught:
+                name = getattr(t, "id", None) or getattr(t, "attr", None)
+                if name in kinds:
+                    yield node.lineno, name
+
+
+def test_kinds_caught_only_in_errors_and_cli():
+    kinds = _kinds()
+    assert "CoupleMapError" in kinds and "IoError" in kinds
+    sites = [
+        (path.name, lineno, kind)
+        for path in MODULES
+        if path.name not in ("errors.py", "cli.py")
+        for lineno, kind in _caught_kinds(path, kinds)
+    ]
+    assert sites == []
+    assert any(_caught_kinds(SRC / "couplemap" / "cli.py", kinds)), "main catches no kind"
