@@ -6,7 +6,9 @@ with exit code 1; Kind is a CoupleMapError kind (every one is printable, see
 errors.py), or ValueError, TypeError, KeyError or MemoryError. Each numeric
 flag is checked once, by the module that owns it: --bins by netmap.check_bins,
 which map, map-lag and surrogate call here and baseline's EnsembleConfig
-calls when built, before any B x B array exists.
+calls when built, before any B x B array exists. A command computes its
+whole result first and then writes it through _write, which alone creates
+--out, so a refused command leaves no --out behind.
 """
 
 from __future__ import annotations
@@ -101,26 +103,28 @@ def _add_seed(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _out_dir(path: str) -> str:
-    """Create the --out directory; called once a command's flags and inputs
-    are checked, before anything is drawn, mapped or measured. Still to come:
-    surrogate's --replicas, --seed and 4-sample minimum, and the overflow
-    check on a raw range times --bins."""
-    with naming(path):
-        os.makedirs(path, exist_ok=True)
-    return path
+def _write(out: str, files: dict) -> list:
+    """Create the --out directory and write each file name: (writer, data)
+    into it in order; return the paths. Each command calls it last, once its
+    whole result is computed, so a refused command leaves no --out behind."""
+    with naming(out):
+        os.makedirs(out, exist_ok=True)
+    paths = [os.path.join(out, name) for name in files]
+    for path, (writer, data) in zip(paths, files.values()):
+        writer(data, path)
+    return paths
 
 
-def _write_network_files(net, out_dir: str) -> list:
-    adjacency = os.path.join(out_dir, "adjacency.tsv")
-    edges = os.path.join(out_dir, "edges.csv")
-    joint = os.path.join(out_dir, "joint.tsv")
-    measures = os.path.join(out_dir, "measures.json")
-    write_adjacency_tsv(net, adjacency)
-    write_edge_list_csv(net, edges)
-    write_joint_tsv(joint_probability(net), joint)
-    write_json(measure_all(net).to_dict(), measures)
-    return [adjacency, edges, joint, measures]
+def _write_network(net, out: str) -> list:
+    return _write(
+        out,
+        {
+            "adjacency.tsv": (write_adjacency_tsv, net),
+            "edges.csv": (write_edge_list_csv, net),
+            "joint.tsv": (write_joint_tsv, joint_probability(net)),
+            "measures.json": (write_json, measure_all(net).to_dict()),
+        },
+    )
 
 
 def _load_aligned(x_csv: str, y_csv: str, column: str, mode: str) -> AlignedPair:
@@ -132,16 +136,13 @@ def _load_aligned(x_csv: str, y_csv: str, column: str, mode: str) -> AlignedPair
 def cmd_map(args) -> list:
     pair = _load_aligned(args.x_csv, args.y_csv, args.column, args.preprocess)
     check_bins(args.bins, pair.common_length)
-    out_dir = _out_dir(args.out)
-    return _write_network_files(map_pair(pair, bin_count=args.bins), out_dir)
+    return _write_network(map_pair(pair, bin_count=args.bins), args.out)
 
 
 def cmd_map_lag(args) -> list:
     series = prepare(load_csv(args.csv, args.column), mode=args.preprocess)
     check_bins(args.bins, lagged_samples(len(series), args.lag))
-    out_dir = _out_dir(args.out)
-    net = map_lagged(series, lag=args.lag, bin_count=args.bins)
-    return _write_network_files(net, out_dir)
+    return _write_network(map_lagged(series, lag=args.lag, bin_count=args.bins), args.out)
 
 
 def cmd_baseline(args) -> list:
@@ -153,15 +154,12 @@ def cmd_baseline(args) -> list:
         lag=args.lag,
         master_seed=args.seed,
     )
-    path = os.path.join(_out_dir(args.out), "baseline_summary.csv")
-    write_summary_csv(run_fgn_ensemble(cfg), path)
-    return [path]
+    return _write(args.out, {"baseline_summary.csv": (write_summary_csv, run_fgn_ensemble(cfg))})
 
 
 def cmd_surrogate(args) -> list:
     pair = _load_aligned(args.x_csv, args.y_csv, args.column, args.preprocess)
     check_bins(args.bins, pair.common_length)
-    path = os.path.join(_out_dir(args.out), "surrogate_summary.csv")
     summary = run_surrogate_pair(
         pair.x,
         pair.y,
@@ -169,8 +167,7 @@ def cmd_surrogate(args) -> list:
         bin_count=args.bins,
         master_seed=args.seed,
     )
-    write_summary_csv(summary, path)
-    return [path]
+    return _write(args.out, {"surrogate_summary.csv": (write_summary_csv, summary)})
 
 
 def _load_report_vector(path: str) -> dict:
@@ -207,10 +204,7 @@ def cmd_compare(args) -> list:
         if name in systems:
             raise ValueError(f"duplicate system name {name!r}")
         systems[name] = vector
-    comparison = radar_normalize(systems)
-    path = os.path.join(_out_dir(args.out), "comparison.json")
-    write_json(comparison, path)
-    return [path]
+    return _write(args.out, {"comparison.json": (write_json, radar_normalize(systems))})
 
 
 def build_parser() -> argparse.ArgumentParser:

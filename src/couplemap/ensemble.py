@@ -104,9 +104,7 @@ class EnsembleConfig:
                 )
             names[name] = h
         if self.replicas_per_h < 2:
-            raise TooFewSamples(
-                f"replicas_per_h must be at least 2, got {self.replicas_per_h}"
-            )
+            raise TooFewSamples(f"need at least 2 replicas, got {self.replicas_per_h}")
         if self.series_length < 64:
             raise ValueError(
                 f"series_length must be at least 64, got {self.series_length}"

@@ -547,21 +547,24 @@ class TestFileBoundary:
         assert "can't decode" in result[2]
 
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
-    @pytest.mark.parametrize("command", ["map", "baseline"])
-    def test_out_names_a_file(self, command, under, market_csvs, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", ["map", "map-lag", "baseline", "surrogate", "compare"])
+    def test_out_names_a_file(self, command, under, market_csvs, summary_csv, tmp_path, capsys):
+        # --out is created after the work, so the work runs and then is refused
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         out = blocker / "sub" if under else blocker
-        step, argv = {
-            "map": ("map_pair", ["map", *market_csvs]),
-            "baseline": ("run_fgn_ensemble", ["baseline", "--replicas", "2", "--length", "64"]),
+        bins = ["--bins", "4"]
+        surrogate = tmp_path / "surrogate.csv"
+        rows = {name: SummaryRow(name, 2.0, 0.1, 2) for name in MEASURE_FIELDS}
+        write_summary_csv(EnsembleSummary({"surrogate": rows}), surrogate)
+        argv = {
+            "map": ["map", *market_csvs, *bins],
+            "map-lag": ["map-lag", market_csvs[0], *bins],
+            "baseline": ["baseline", "--replicas", "2", "--length", "64", *bins],
+            "surrogate": ["surrogate", *market_csvs, "--replicas", "2", *bins],
+            "compare": ["compare", "--baseline", str(summary_csv), "--surrogate", str(surrogate)],
         }[command]
-
-        def work(*args, **kwargs):
-            raise AssertionError(f"{step} ran before --out was checked")
-
-        monkeypatch.setattr(cli, step, work)
-        result = run_cli(capsys, *argv, "--bins", "4", "--out", str(out))
+        result = run_cli(capsys, *argv, "--out", str(out))
         assert_file_error(result, "IoError", out)
         assert blocker.read_text() == ""
 
@@ -674,7 +677,7 @@ class TestOneFailurePath:
             ),
             (
                 ["baseline", "--replicas", "-1"],
-                "TooFewSamples:replicas_per_h must be at least 2, got -1",
+                "TooFewSamples:need at least 2 replicas, got -1",
             ),
             (["baseline", "--length", "0"], "ValueError:series_length must be at least 64, got 0"),
             (["baseline", "--lag", "0"], "ValueError:lag must be at least 1, got 0"),
@@ -717,6 +720,45 @@ class TestOneFailurePath:
         code, stdout, stderr = run_cli(
             capsys, "map-lag", x, "--lag", lag, "--bins", "3", "--out", str(out)
         )
+        assert (code, stdout, stderr) == (1, "", line + "\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("argv", "line"),
+        [
+            (
+                ["surrogate", "X", "Y", "--replicas", "0"],
+                "TooFewSamples:need at least 2 replicas, got 0",
+            ),
+            (
+                ["surrogate", "X", "Y", "--seed", "-1"],
+                "ValueError:seed must fit in 64 unsigned bits, got -1",
+            ),
+            (
+                ["surrogate", "X", "Y", "--seed", str(2**64)],
+                f"ValueError:seed must fit in 64 unsigned bits, got {2**64}",
+            ),
+            (
+                ["surrogate", "SHORT", "SHORT"],
+                "LengthTooShort:surrogate needs at least 4 points, got 3",
+            ),
+            (
+                ["map-lag", "HUGE", "--preprocess", "raw"],
+                "ValueError:value range times 3 bins is out of the float range",
+            ),
+        ],
+        ids=["replicas-0", "seed-negative", "seed-2**64", "three-returns", "raw-overflow"],
+    )
+    def test_late_refusal_leaves_no_out(self, argv, line, market_csvs, tmp_path, capsys):
+        # each is refused by the library call that does the work, before --out exists
+        huge = tmp_path / "huge.csv"
+        values = ["1e308", "-1e308", "0", "5e307", "-5e307", "1e307", "2", "3"]
+        huge.write_text("t,value\n" + "".join(f"{t},{v}\n" for t, v in enumerate(values)))
+        x, y = market_csvs
+        inputs = {"X": x, "Y": y, "SHORT": _dated(tmp_path / "short.csv"), "HUGE": str(huge)}
+        out = tmp_path / "o"
+        argv = [inputs.get(arg, arg) for arg in argv]
+        code, stdout, stderr = run_cli(capsys, *argv, "--bins", "3", "--out", str(out))
         assert (code, stdout, stderr) == (1, "", line + "\n")
         assert not out.exists()
 

@@ -6,9 +6,10 @@ negative, non-finite and near-limit values) and generated flag values, and
 `compare` with mutated summary CSVs and report JSONs. Each example must end
 one of two ways: exit 0 with nothing on stderr and every printed path
 present, or exit 1 with nothing on stdout and exactly one `Kind:detail` line
-on stderr. A warning counts as stderr output. A file error (`ParseError`,
-`DuplicateTimestamp` or `IoError`) must name, as `Kind:<path>:`, the first
-input that its reader refuses when reading it alone.
+on stderr and no `--out` directory left behind. A warning counts as stderr
+output. A file error (`ParseError`, `DuplicateTimestamp` or `IoError`) must
+name, as `Kind:<path>:`, the first input that its reader refuses when
+reading it alone.
 """
 
 import contextlib
@@ -139,6 +140,7 @@ def run_main(argv, reads):
         assert code == 1, argv
         assert out == "", argv
         assert re.fullmatch(r"[A-Z]\w*:[^\n]*\n", err), (argv, err)
+        assert not os.path.exists(argv[argv.index("--out") + 1]), (argv, err)
         kind, _, detail = err.partition(":")
         if kind in FILE_KINDS:
             refused = first_refused(reads)

@@ -1,7 +1,9 @@
 """Every file the package opens goes through errors.opened, nowhere else;
 only errors.py turns an OSError into an error or puts a path into a message;
 and only errors.py and cli.py catch a CoupleMapError kind, since every kind
-is one a command prints rather than a signal for other modules to handle."""
+is one a command prints rather than a signal for other modules to handle;
+and only cli._write creates a directory, the commands handing it their
+writers rather than calling one."""
 
 import ast
 from pathlib import Path
@@ -97,3 +99,35 @@ def test_kinds_caught_only_in_errors_and_cli():
     ]
     assert sites == []
     assert any(_caught_kinds(SRC / "couplemap" / "cli.py", kinds)), "main catches no kind"
+
+
+def _calls(path: Path):
+    """(innermost enclosing function or None, called name or attribute) of each call."""
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                yield function, getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+            defines = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from visit(child, child.name if defines else function)
+
+    yield from visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), None)
+
+
+def test_out_created_and_written_only_in_write():
+    """--out is created in cli._write alone, and no function in cli.py calls
+    a write_* function by name, so every file a command writes passes
+    through _write."""
+    makedirs = [
+        (path.name, function)
+        for path in MODULES
+        for function, name in _calls(path)
+        if name == "makedirs"
+    ]
+    assert makedirs == [("cli.py", "_write")]
+    writers = [
+        (function, name)
+        for function, name in _calls(SRC / "couplemap" / "cli.py")
+        if name and name.startswith("write_")
+    ]
+    assert writers == []
