@@ -2,16 +2,18 @@
 
 Replica seeds are derived from (master_seed, stream, index) with a
 splitmix64-style mix, so a replica's result depends only on the config and
-its index. Each fGn system is built and measured in stacks: its noises are
-drawn a stack of seeds at a time (synth.fgn_stacks), binned a stack of
-rows at a time and counted one network at a time (netmap.map_lagged_rows,
-map_pair_rows) and measured a stack of networks at a time
-(metrics.measure_many), every stacked array within the 512 KB budget of
-series.stack_size. Surrogate replicas are built the same way: the x and y
-surrogates are drawn in step a stack at a time (synth.surrogate_stacks),
-mapped with map_pair_rows and measured in stacks. Every stage gives the
-results of building each replica alone, and aggregation folds them in
-replica order, so summaries are byte-identical for a fixed config.
+its index. Each fGn system is built in stacks: its noises are drawn a
+stack of seeds at a time (synth.fgn_stacks), binned a stack of rows at a
+time and counted one network at a time (netmap.map_lagged_rows,
+map_pair_rows). The networks of all systems form one stream, measured a
+stack of networks at a time (metrics.measure_many), so a stack may span two
+systems; the reports are then sliced back per system. Every stacked array
+stays within the 512 KB budget of series.stack_size. Surrogate replicas are
+built the same way: the x and y surrogates are drawn in step a stack at a
+time (synth.surrogate_stacks), mapped with map_pair_rows and measured in
+stacks. Every stage gives the results of building each replica alone, and
+aggregation folds them in replica order, so summaries are byte-identical
+for a fixed config.
 """
 
 from __future__ import annotations
@@ -163,7 +165,8 @@ def _pair_networks(xs, ys, bin_count: int):
 
 
 def run_fgn_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
-    """Per Hurst value: generate replicas, map, measure, aggregate.
+    """Per Hurst value: generate replicas and map them; measure all the
+    networks as one stream; aggregate per Hurst value.
 
     Lag coupling maps each noise against its own lag; pair coupling draws a
     second independent noise per replica (seed streams 2r and 2r + 1).
@@ -181,11 +184,16 @@ def run_fgn_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
             for rows in draws(0, 1):
                 yield from map_lagged_rows(rows, cfg.lag, cfg.bin_count)
 
-    systems = {}
-    for h_index, h in enumerate(cfg.hurst_values):
-        reports = measure_many(networks(h_index, h))
-        systems[fgn_system_name(h)] = _aggregate(reports)
-    return EnsembleSummary(systems)
+    # one stream of networks, so a measure stack may span two systems
+    stream = itertools.starmap(networks, enumerate(cfg.hurst_values))
+    reports = measure_many(itertools.chain.from_iterable(stream))
+    size = cfg.replicas_per_h
+    return EnsembleSummary(
+        {
+            fgn_system_name(h): _aggregate(reports[i * size : (i + 1) * size])
+            for i, h in enumerate(cfg.hurst_values)
+        }
+    )
 
 
 def run_surrogate_pair(

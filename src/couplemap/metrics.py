@@ -552,20 +552,24 @@ def modularity_stats(net: CouplingNetwork, partition) -> dict:
     labels = np.asarray(partition, dtype=np.int64)
     if labels.shape != (net.bin_count,):
         raise ValueError("partition must label every node")
-    same = labels[:, None] == labels[None, :]
+    # the same-community cells in row-major order, as a boolean mask takes
+    # them, so every sum below adds the same terms in the same order
+    i, j = np.nonzero(labels[:, None] == labels[None, :])
 
     s = (net.weights + net.weights.T).astype(np.float64)
     two_m = s.sum()
     strength = s.sum(axis=1)
-    q_total = float(
-        (s[same].sum() - (np.outer(strength, strength) / two_m)[same].sum()) / two_m
-    )
+    null = strength[i] * strength[j]
+    null /= two_m
+    q_total = float((s[i, j].sum() - null.sum()) / two_m)
 
     w = net.weights.astype(np.float64)
     m = w.sum()
     w_out = w.sum(axis=1)
     w_in = w.sum(axis=0)
-    q_out = float((w[same].sum() - (np.outer(w_out, w_in) / m)[same].sum()) / m)
+    null = w_out[i] * w_in[j]
+    null /= m
+    q_out = float((w[i, j].sum() - null.sum()) / m)
 
     return {"modularity_total_degree": q_total, "modularity_out_degree": q_out}
 

@@ -6,7 +6,9 @@ for every Hurst exponent and length (Craigmile 2003), so every draw takes
 the same O(N log N) path. Draws are made in stacks (fgn_stacks): one
 embedding per (H, N), one batched FFT and one row-wise standardization for
 as many seeds as keep the complex spectrum within the 512 KB per-array
-budget (series.stack_size; 8 rows at N = 2000). generate_fgn is the
+budget (series.stack_size; 8 rows at N = 2000). The spectrum and one seed's
+normals are work arrays that every stack of a call reuses, and the FFT
+runs in place, so later stacks take no fresh pages. generate_fgn is the
 one-seed stack, and each row equals that seed's generate_fgn draw bit for
 bit. Surrogates randomize the phases of the Fourier transform while
 keeping every amplitude bin, so the linear structure survives and the
@@ -81,43 +83,53 @@ def _embedding_eigenvalues(acov: np.ndarray) -> np.ndarray:
     return np.fft.rfft(np.concatenate([acov, acov[-2:0:-1]])).real
 
 
-def _circulant_fgn(eig: np.ndarray, seeds) -> np.ndarray:
+def _circulant_fgn(root: np.ndarray, seeds, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Exact draws of length n, one row per seed, via circulant embedding.
 
-    eig holds the embedding's eigenvalues 0..n, clipped at 0.
+    root holds the square roots of the embedding's eigenvalues 0..n. y (at
+    least one row of 2n complex cells per seed) and z (2n float64 cells) are
+    work arrays that every call overwrites; the draws are a new array.
     """
-    n = len(eig) - 1
-    m = 2 * n
-    # per seed, 2n normals: n + 1 real parts, then n - 1 imaginary parts, the
-    # stream of drawing the two parts one after the other
-    z = np.empty((len(seeds), m))
-    for row, seed in zip(z, seeds):
-        np.random.default_rng(seed).standard_normal(out=row)
-    zr, zi = z[:, : n + 1], z[:, n + 1 :]
-
-    # Hermitian complex-Gaussian spectrum: E|y_k|^2 = eig_k, y_{m-k} = conj(y_k).
-    y = np.empty((len(seeds), m), dtype=np.complex128)
-    y[:, 0] = math.sqrt(eig[0]) * zr[:, 0]
-    y[:, n] = math.sqrt(eig[n]) * zr[:, n]
-    y[:, 1:n] = np.sqrt(eig[1:n]) * (zr[:, 1:n] + 1j * zi) / math.sqrt(2.0)
-    y[:, n + 1 :] = np.conj(y[:, n - 1 : 0 : -1])
-    return (np.fft.fft(y)[:, :n] / math.sqrt(m)).real
+    n = len(root) - 1
+    y = y[: len(seeds)]
+    for row, seed in zip(y, seeds):
+        # per seed, 2n normals: n + 1 real parts, then n - 1 imaginary parts,
+        # the stream of drawing the two parts one after the other
+        np.random.default_rng(seed).standard_normal(out=z)
+        # Hermitian complex-Gaussian spectrum, E|y_k|^2 = eig_k and
+        # y_{2n-k} = conj(y_k), written through a float64 view. NumPy divides
+        # a complex number by a real one as a product with its reciprocal, so
+        # scaling the parts gives the bits of the complex arithmetic.
+        parts = row.view(np.float64)  # re y_0, im y_0, re y_1, im y_1, ...
+        np.multiply(root, z[: n + 1], out=parts[: 2 * n + 2 : 2])
+        np.multiply(root[1:n], z[n + 1 :], out=parts[3 : 2 * n : 2])
+        parts[1] = parts[2 * n + 1] = 0.0
+        parts[2 : 2 * n] *= 1.0 / math.sqrt(2.0)
+        # one row at a time, as NumPy copies a source that may overlap out=
+        np.conjugate(row[n - 1 : 0 : -1], out=row[n + 1 :])
+    np.fft.fft(y, out=y)
+    return y[:, :n].real * (1.0 / math.sqrt(2 * n))
 
 
 def fgn_stacks(hurst: float, length: int, seeds):
     """Standardized fGn draws for seeds, yielded as (k, length) stacks.
 
-    Consecutive stacks of k seeds share one embedding; row i is the draw
-    of generate_fgn(FgnSpec(hurst, length, seed_i)), and every row passes
-    the standardized-series checks (finite, mean 0 and std 1 within 1e-9).
+    Consecutive stacks of k seeds share one embedding and one pair of work
+    arrays, which live as long as the call; row i is the draw of
+    generate_fgn(FgnSpec(hurst, length, seed_i)), and every row passes the
+    standardized-series checks (finite, mean 0 and std 1 within 1e-9). No
+    yielded stack shares memory with the work arrays.
     """
     _check_shape(hurst, length)
     seeds = [check_seed(seed) for seed in seeds]
     acov = fgn_autocovariance(hurst, length)
-    eig = np.clip(_embedding_eigenvalues(acov), 0.0, None)
+    root = np.sqrt(np.clip(_embedding_eigenvalues(acov), 0.0, None))
     size = stack_size(4 * length)  # the complex spectrum of 2N per seed
+    y = np.empty((min(size, len(seeds)), 2 * length), dtype=np.complex128)
+    z = np.empty(2 * length)
     for start in range(0, len(seeds), size):
-        values = standardized_values(_circulant_fgn(eig, seeds[start : start + size]))
+        draws = _circulant_fgn(root, seeds[start : start + size], y, z)
+        values = standardized_values(draws)
         check_values(values, KIND_STANDARDIZED)
         yield values
 

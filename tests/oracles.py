@@ -5,11 +5,16 @@ with loops, fsum and exact rationals; no numpy. The community-detection
 oracle replays the greedy agglomeration step by step with the same float
 arithmetic, since the partition search is defined by the algorithm itself.
 estimate_hurst checks generated noise against its Hurst exponent.
+oracle_circulant_fgn is the one NumPy reference: the fGn draw written with
+complex temporaries and a fresh FFT, whose bits synth's in-place draw must
+reproduce.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from couplemap.errors import LengthTooShort
 
@@ -412,3 +417,21 @@ def estimate_hurst(values):
         (x - x_bar) ** 2 for x in xs
     )
     return 1.0 + slope / 2.0
+
+
+def oracle_circulant_fgn(eig, seeds):
+    """Davies-Harte draws of length n, one row per seed, from the embedding's
+    eigenvalues 0..n: each seed's normals give n + 1 real parts, then n - 1
+    imaginary parts of a Hermitian spectrum with E|y_k|^2 = eig_k."""
+    n = len(eig) - 1
+    m = 2 * n
+    y = np.empty((len(seeds), m), dtype=np.complex128)
+    for row, seed in zip(y, seeds):
+        rng = np.random.default_rng(seed)
+        zr = rng.standard_normal(n + 1)
+        zi = rng.standard_normal(n - 1)
+        row[0] = math.sqrt(eig[0]) * zr[0]
+        row[n] = math.sqrt(eig[n]) * zr[n]
+        row[1:n] = np.sqrt(eig[1:n]) * (zr[1:n] + 1j * zi) / math.sqrt(2.0)
+    y[:, n + 1 :] = np.conj(y[:, n - 1 : 0 : -1])
+    return (np.fft.fft(y)[:, :n] / math.sqrt(m)).real

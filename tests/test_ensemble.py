@@ -20,7 +20,7 @@ from couplemap import (
     write_json,
     write_summary_csv,
 )
-from couplemap import ensemble
+from couplemap import ensemble, metrics
 from couplemap.ensemble import (
     DEFAULT_MASTER_SEED,
     SUMMARY_COLUMNS,
@@ -31,7 +31,13 @@ from couplemap.ensemble import (
     derive_seed,
     fgn_system_name,
 )
-from couplemap.metrics import MEASURE_FIELDS, MeasureReport, measure_all, measure_many
+from couplemap.metrics import (
+    MEASURE_FIELDS,
+    MeasureReport,
+    degree_stats,
+    measure_all,
+    measure_many,
+)
 from couplemap.netmap import map_lagged, map_pair
 from couplemap.series import AlignedPair, TimeSeries, index_series
 from couplemap.synth import FgnSpec, generate_fgn, surrogate
@@ -228,22 +234,31 @@ class TestRunFgnEnsemble:
             mean, abs=1e-12
         )
 
-    # 27 replicas of N = 2000 take four stacks of draws (8 + 8 + 8 + 3) and
-    # two of networks at B = 50 (26 + 1)
+    # 27 replicas of N = 2000 take four stacks of draws (8 + 8 + 8 + 3) per
+    # system; the two systems' 54 networks at B = 50 are measured as one
+    # stream, in stacks of 26 + 26 + 2, so the second stack spans both
     @pytest.mark.parametrize("coupling", ["lag", "pair"])
     def test_stacked_reports_equal_building_each_alone(self, coupling, monkeypatch):
         captured = []
+        stacks = []
 
         def recording(nets):
             reports = measure_many(nets)
             captured.append(reports)
             return reports
 
+        def degrees(stack):
+            stacks.append(len(stack))
+            return degree_stats(stack)
+
         monkeypatch.setattr(ensemble, "measure_many", recording)
+        monkeypatch.setattr(metrics, "degree_stats", degrees)
         cfg = EnsembleConfig(
             hurst_values=(0.3, 0.9), replicas_per_h=27, master_seed=41, coupling=coupling
         )
         summary = run_fgn_ensemble(cfg)
+        (reports,) = captured
+        assert stacks == [26, 26, 2]
 
         def alone(h_index: int, h: float, r: int) -> MeasureReport:
             def draw(stream):
@@ -254,9 +269,10 @@ class TestRunFgnEnsemble:
             pair = AlignedPair(draw(2 * r), draw(2 * r + 1))
             return measure_all(map_pair(pair, bin_count=50))
 
-        for h_index, (h, reports) in enumerate(zip(cfg.hurst_values, captured, strict=True)):
+        for h_index, h in enumerate(cfg.hurst_values):
             expected = [alone(h_index, h, r) for r in range(27)]
-            assert [repr(r) for r in reports] == [repr(r) for r in expected]
+            system = reports[27 * h_index : 27 * (h_index + 1)]
+            assert [repr(r) for r in system] == [repr(r) for r in expected]
             assert summary.systems[fgn_system_name(h)] == _aggregate(expected)
 
     def test_pair_mode_differs_from_lag_mode(self):

@@ -571,6 +571,29 @@ class TestModularity:
             assert -1.0 <= got["modularity_total_degree"] <= 1.0
             assert -1.0 <= got["modularity_out_degree"] <= 1.0
 
+    @pytest.mark.parametrize("kind", ["fgn-lag", "surrogate", "student-t"])
+    @pytest.mark.parametrize("bins", [50, 200])
+    def test_equals_mask_formula_bitwise(self, kind, bins):
+        # the boolean-mask gathers over B x B outer products, summed as is
+        net = net_from(measured_weights(kind, bins))
+        s = (net.weights + net.weights.T).astype(np.float64)
+        two_m, strength = s.sum(), s.sum(axis=1)
+        w = net.weights.astype(np.float64)
+        m, w_out, w_in = w.sum(), w.sum(axis=1), w.sum(axis=0)
+        detected = detect_communities([net])[0]
+        for labels in (detected, np.random.default_rng(bins).integers(0, 3, bins)):
+            same = labels[:, None] == labels[None, :]
+            null_total = (np.outer(strength, strength) / two_m)[same].sum()
+            null_out = (np.outer(w_out, w_in) / m)[same].sum()
+            expected = {
+                "modularity_total_degree": float((s[same].sum() - null_total) / two_m),
+                "modularity_out_degree": float((w[same].sum() - null_out) / m),
+            }
+            got = modularity_stats(net, labels)
+            assert {k: v.hex() for k, v in got.items()} == {
+                k: v.hex() for k, v in expected.items()
+            }
+
     def test_partition_shape_checked(self):
         net = net_from([[1, 1, 0], [0, 1, 0], [1, 0, 1]])
         with pytest.raises(ValueError, match="^partition must label every node$"):

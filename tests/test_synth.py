@@ -8,7 +8,13 @@ import pytest
 import oracles
 
 from couplemap import LengthTooShort, surrogate
-from couplemap.series import KIND_STANDARDIZED, TimeSeries, index_series, standardize
+from couplemap.series import (
+    KIND_STANDARDIZED,
+    TimeSeries,
+    index_series,
+    standardize,
+    standardized_values,
+)
 from couplemap.synth import (
     FgnSpec,
     _circulant_fgn,
@@ -23,15 +29,7 @@ from couplemap.synth import (
 def one_draw(hurst: float, n: int, seed: int) -> np.ndarray:
     """Reference draw: one embedding, FFT and standardization per seed."""
     eig = np.clip(_embedding_eigenvalues(fgn_autocovariance(hurst, n)), 0.0, None)
-    rng = np.random.default_rng(seed)
-    zr = rng.standard_normal(n + 1)
-    zi = rng.standard_normal(n - 1)
-    y = np.empty(2 * n, dtype=np.complex128)
-    y[0] = math.sqrt(eig[0]) * zr[0]
-    y[n] = math.sqrt(eig[n]) * zr[n]
-    y[1:n] = np.sqrt(eig[1:n]) * (zr[1:n] + 1j * zi) / math.sqrt(2.0)
-    y[n + 1 :] = np.conj(y[1:n][::-1])
-    v = (np.fft.fft(y) / math.sqrt(2 * n))[:n].real
+    v = oracles.oracle_circulant_fgn(eig, [seed])[0]
     v = (v - v.mean()) / v.std()
     v -= v.mean()
     return v
@@ -111,6 +109,24 @@ class TestGenerateFgn:
             assert row.tobytes() == one_draw(hurst, 2000, seed).tobytes()
             assert row.tobytes() == generate_fgn(FgnSpec(hurst, 2000, seed)).values.tobytes()
 
+    # at N = 2000 and 2001 a stack holds 8 draws, so 9 and 17 seeds leave a
+    # last stack of one; below that every count fits in one stack
+    @pytest.mark.parametrize("n", [16, 17, 100, 2000, 2001])
+    @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5, 0.7, 0.95, 0.99])
+    def test_draws_equal_complex_temporary_formula(self, hurst, n):
+        eig = np.clip(_embedding_eigenvalues(fgn_autocovariance(hurst, n)), 0.0, None)
+        for count in (1, 3, 8, 9, 17):
+            seeds = [2**63 + 977 * r + count for r in range(count)]
+            expected = standardized_values(oracles.oracle_circulant_fgn(eig, seeds))
+            stacks, copies = [], []
+            for stack in fgn_stacks(hurst, n, seeds):
+                stacks.append(stack)
+                copies.append(stack.copy())
+            assert np.concatenate(copies).tobytes() == expected.tobytes(), count
+            # drawing later stacks must leave every yielded stack as it was
+            for stack, copy in zip(stacks, copies):
+                assert stack.tobytes() == copy.tobytes(), count
+
     def test_stacked_draws_checked(self):
         with pytest.raises(ValueError):
             next(fgn_stacks(0.5, 2000, [2**64]))
@@ -178,9 +194,15 @@ class TestGenerateFgn:
                 assert eig.min() >= 0.0, (h, n)
 
     def test_circulant_matches_requested_length(self):
+        # whatever the work arrays hold beforehand, and however many rows y
+        # has to spare, the draws depend on the seeds alone and are new
         eig = np.clip(_embedding_eigenvalues(fgn_autocovariance(0.6, 100)), 0.0, None)
-        out = _circulant_fgn(eig, [0, 1, 2])
+        y = np.full((4, 200), np.nan, dtype=np.complex128)
+        z = np.full(200, np.nan)
+        out = _circulant_fgn(np.sqrt(eig), [0, 1, 2], y, z)
         assert out.shape == (3, 100)
+        assert out.tobytes() == oracles.oracle_circulant_fgn(eig, [0, 1, 2]).tobytes()
+        assert not np.shares_memory(out, y)
 
 
 class TestSurrogate:
