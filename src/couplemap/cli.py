@@ -5,10 +5,10 @@ failure, a usage error included, as a single `Kind:detail` line on stderr
 with exit code 1; Kind is a CoupleMapError kind (every one is printable, see
 errors.py), or ValueError, TypeError, KeyError or MemoryError. Each numeric
 flag is checked once, by the module that owns it: --bins by netmap.check_bins,
-which map, map-lag and surrogate call here and baseline's EnsembleConfig
-calls when built, before any B x B array exists. A command computes its
-whole result first and then writes it through _write, which alone creates
---out, so a refused command leaves no --out behind.
+which _load_pair (map, surrogate) and cmd_map_lag call here and baseline's
+EnsembleConfig calls when built, before any B x B array exists. A command
+computes its whole result first and then writes it through _write, which
+alone creates --out, so a refused command leaves no --out behind.
 """
 
 from __future__ import annotations
@@ -62,47 +62,6 @@ def _hurst_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad hurst list {text!r}") from None
 
 
-def _add_bins(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--bins",
-        type=int,
-        default=DEFAULT_BIN_COUNT,
-        help="amplitude bins per series; at least 3, at most the number of "
-        "samples mapped (default 50)",
-    )
-
-
-def _add_column(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--column",
-        default="value",
-        help="value column name in the input CSV header (default 'value')",
-    )
-
-
-def _add_preprocess(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--preprocess",
-        choices=("returns", "raw"),
-        default="returns",
-        help="returns = standardized log-returns of a raw positive series; "
-        "raw = use values as loaded (default returns)",
-    )
-
-
-def _add_out_dir(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=".", help="output directory (created if missing)")
-
-
-def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_MASTER_SEED,
-        help="master seed, 64-bit unsigned; identical seeds give byte-identical files",
-    )
-
-
 def _write(out: str, files: dict) -> list:
     """Create the --out directory and write each file name: (writer, data)
     into it in order; return the paths. Each command calls it last, once its
@@ -127,16 +86,17 @@ def _write_network(net, out: str) -> list:
     )
 
 
-def _load_aligned(x_csv: str, y_csv: str, column: str, mode: str) -> AlignedPair:
-    """Inner-join the raw calendars first, then preprocess each side."""
-    raw = align_pair(load_csv(x_csv, column), load_csv(y_csv, column))
-    return AlignedPair(prepare(raw.x, mode=mode), prepare(raw.y, mode=mode))
+def _load_pair(args) -> AlignedPair:
+    """Inner-join the raw calendars first, then preprocess each side, and
+    check --bins against the common length before any mapping or drawing."""
+    raw = align_pair(load_csv(args.x_csv, args.column), load_csv(args.y_csv, args.column))
+    pair = AlignedPair(prepare(raw.x, mode=args.preprocess), prepare(raw.y, mode=args.preprocess))
+    check_bins(args.bins, pair.common_length)
+    return pair
 
 
 def cmd_map(args) -> list:
-    pair = _load_aligned(args.x_csv, args.y_csv, args.column, args.preprocess)
-    check_bins(args.bins, pair.common_length)
-    return _write_network(map_pair(pair, bin_count=args.bins), args.out)
+    return _write_network(map_pair(_load_pair(args), bin_count=args.bins), args.out)
 
 
 def cmd_map_lag(args) -> list:
@@ -158,8 +118,7 @@ def cmd_baseline(args) -> list:
 
 
 def cmd_surrogate(args) -> list:
-    pair = _load_aligned(args.x_csv, args.y_csv, args.column, args.preprocess)
-    check_bins(args.bins, pair.common_length)
+    pair = _load_pair(args)
     summary = run_surrogate_pair(
         pair.x,
         pair.y,
@@ -208,6 +167,37 @@ def cmd_compare(args) -> list:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    bins = argparse.ArgumentParser(add_help=False)
+    bins.add_argument(
+        "--bins",
+        type=int,
+        default=DEFAULT_BIN_COUNT,
+        help="amplitude bins per series; at least 3, at most the number of "
+        "samples mapped (default %(default)s)",
+    )
+    column = argparse.ArgumentParser(add_help=False)
+    column.add_argument(
+        "--column",
+        default="value",
+        help="value column name in the input CSV header (default %(default)r)",
+    )
+    column.add_argument(
+        "--preprocess",
+        choices=("returns", "raw"),
+        default="returns",
+        help="returns = standardized log-returns of a raw positive series; "
+        "raw = use values as loaded (default %(default)s)",
+    )
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument(
+        "--seed",
+        type=int,
+        default=DEFAULT_MASTER_SEED,
+        help="master seed, 64-bit unsigned; identical seeds give byte-identical files",
+    )
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=".", help="output directory (created if missing)")
+
     parser = _Parser(
         prog="couplemap",
         description="Map coupled time-series onto directed networks and "
@@ -215,30 +205,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("map", help="map two series onto a coupling network")
+    p = sub.add_parser(
+        "map", parents=[bins, column, out], help="map two series onto a coupling network"
+    )
     p.add_argument("x_csv", help="CSV of the source series (edge sources)")
     p.add_argument("y_csv", help="CSV of the target series (edge targets)")
-    _add_bins(p)
-    _add_column(p)
-    _add_preprocess(p)
-    _add_out_dir(p)
     p.set_defaults(fn=cmd_map)
 
-    p = sub.add_parser("map-lag", help="map one series against its own lag")
+    p = sub.add_parser(
+        "map-lag", parents=[bins, column, out], help="map one series against its own lag"
+    )
     p.add_argument("csv", help="CSV of the series")
     p.add_argument(
         "--lag",
         type=int,
         default=DEFAULT_LAG,
-        help="lag in steps; at least 1 and less than the series length (default 1)",
+        help="lag in steps; at least 1 and less than the series length (default %(default)s)",
     )
-    _add_bins(p)
-    _add_column(p)
-    _add_preprocess(p)
-    _add_out_dir(p)
     p.set_defaults(fn=cmd_map_lag)
 
-    p = sub.add_parser("baseline", help="run the fractional-noise ensemble")
+    p = sub.add_parser(
+        "baseline", parents=[bins, seed, out], help="run the fractional-noise ensemble"
+    )
     p.add_argument(
         "--hurst",
         type=_hurst_list,
@@ -250,42 +238,38 @@ def build_parser() -> argparse.ArgumentParser:
         "--replicas",
         type=int,
         default=DEFAULT_REPLICAS,
-        help="noise draws per Hurst value; at least 2 (default 32)",
+        help="noise draws per Hurst value; at least 2 (default %(default)s)",
     )
     p.add_argument(
         "--length",
         type=int,
         default=DEFAULT_SERIES_LENGTH,
-        help="points per draw; at least 64 (default 2000)",
+        help="points per draw; at least 64 (default %(default)s)",
     )
     p.add_argument(
         "--lag",
         type=int,
         default=DEFAULT_LAG,
-        help="self-coupling lag; at least 1 (default 1)",
+        help="self-coupling lag; at least 1 (default %(default)s)",
     )
-    _add_bins(p)
-    _add_seed(p)
-    _add_out_dir(p)
     p.set_defaults(fn=cmd_baseline)
 
-    p = sub.add_parser("surrogate", help="phase-randomized ensemble of a pair")
+    p = sub.add_parser(
+        "surrogate",
+        parents=[bins, column, seed, out],
+        help="phase-randomized ensemble of a pair",
+    )
     p.add_argument("x_csv", help="CSV of the source series")
     p.add_argument("y_csv", help="CSV of the target series")
     p.add_argument(
         "--replicas",
         type=int,
         default=DEFAULT_REPLICAS,
-        help="surrogate draws; at least 2 (default 32)",
+        help="surrogate draws; at least 2 (default %(default)s)",
     )
-    _add_bins(p)
-    _add_column(p)
-    _add_preprocess(p)
-    _add_seed(p)
-    _add_out_dir(p)
     p.set_defaults(fn=cmd_surrogate)
 
-    p = sub.add_parser("compare", help="radar-normalize systems against baselines")
+    p = sub.add_parser("compare", parents=[out], help="radar-normalize systems against baselines")
     p.add_argument(
         "reports",
         nargs="*",
@@ -294,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--baseline", required=True, help="baseline summary CSV")
     p.add_argument("--surrogate", default=None, help="surrogate summary CSV")
-    _add_out_dir(p)
     p.set_defaults(fn=cmd_compare)
 
     return parser

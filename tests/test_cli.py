@@ -142,6 +142,23 @@ class TestMapLag:
         assert code == 1
         assert stderr.startswith("LagTooLarge:")
 
+    @pytest.mark.parametrize(
+        ("text", "detail"),
+        [
+            ("date,t,value\n2000-01-03,0,1.0\n2000-01-04,1,2.0\n",
+             ": header names both 'date' and 't'"),
+            ("t,value\n0,1.0\n2\n1,2.0\n", ":3: too few fields"),
+        ],
+        ids=["date-and-t", "short-row"],
+    )
+    def test_malformed_csv_refused(self, text, detail, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        out = tmp_path / "o"
+        result = run_cli(capsys, "map-lag", str(bad), "--out", str(out))
+        assert result == (1, "", f"ParseError:{bad}{detail}\n")
+        assert not out.exists()
+
 
 class TestBinsGuard:
     """--bins is refused before any B x B array is allocated."""
@@ -907,6 +924,52 @@ class TestHelp:
         assert stdout == ""
         assert stderr.count("\n") == 1
         assert "unrecognized arguments: --level 0.95" in stderr
+
+    @pytest.mark.parametrize(
+        ("command", "flags"),
+        [
+            ("map", ["--bins", "--column", "--preprocess", "--out"]),
+            ("map-lag", ["--bins", "--column", "--preprocess", "--out", "--lag"]),
+            ("baseline",
+             ["--hurst", "--replicas", "--length", "--lag", "--bins", "--seed", "--out"]),
+            ("surrogate",
+             ["--replicas", "--bins", "--column", "--preprocess", "--seed", "--out"]),
+            ("compare", ["--baseline", "--surrogate", "--out"]),
+        ],
+    )
+    def test_help_lists_exactly_the_command_flags(self, command, flags, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        options = out[out.index("options:"):]
+        listed = {line.split()[0] for line in options.splitlines()[1:] if line.startswith("  -")}
+        assert listed == {"-h,", *flags}
+
+    @pytest.mark.parametrize(
+        ("command", "patched", "expected"),
+        [
+            ("map", {"DEFAULT_BIN_COUNT": 17}, ["samples mapped (default 17)"]),
+            ("map-lag", {"DEFAULT_LAG": 4}, ["series length (default 4)"]),
+            (
+                "baseline",
+                {"DEFAULT_BIN_COUNT": 17, "DEFAULT_REPLICAS": 5,
+                 "DEFAULT_SERIES_LENGTH": 640, "DEFAULT_LAG": 4},
+                ["samples mapped (default 17)", "at least 2 (default 5)",
+                 "at least 64 (default 640)", "at least 1 (default 4)"],
+            ),
+            ("surrogate", {"DEFAULT_REPLICAS": 5}, ["at least 2 (default 5)"]),
+        ],
+    )
+    def test_help_defaults_follow_the_constants(
+        self, command, patched, expected, monkeypatch, capsys
+    ):
+        for name, value in patched.items():
+            monkeypatch.setattr(cli, name, value)
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flattened = " ".join(capsys.readouterr().out.split())
+        for text in expected:
+            assert text in flattened
 
     def test_top_level_help(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -75,6 +75,16 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             s.values[0] = 9.0
 
+    def test_two_dimensional_arrays(self):
+        with pytest.raises(ValueError) as exc:
+            TimeSeries(np.array([[0, 1], [2, 3]]), np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert str(exc.value) == "timestamps and values must be one-dimensional"
+
+    def test_lengths_differ(self):
+        with pytest.raises(ValueError) as exc:
+            TimeSeries(np.array([0, 1, 2]), np.array([1.0, 2.0]))
+        assert str(exc.value) == "timestamps and values differ in length"
+
 
 class TestLoadCsv:
     def test_date_rows(self, tmp_path):
