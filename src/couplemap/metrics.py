@@ -11,9 +11,10 @@ clustering. measure_all merges them with deformation_R into the report.
 
 measure_many measures networks of one bin count in stacks of as many as
 keep each stacked (R, B, B) array within 512 KB (series.stack_size; 26 at
-B = 50). Degrees, clustering and greedy community detection run once per
-stack (degree_stats, clustering_stats and detect_communities take a list
-of networks and return one result per network). Paths, assortativity,
+B = 50); it alone cuts the stream into stacks (_stacks). Degrees,
+clustering and greedy community detection run once per stack
+(degree_stats, clustering_stats and detect_communities take one stack and
+return one result per network). Paths, assortativity,
 deformation and modularity run per network: stacked, paths and
 assortativity ran slower, and deformation's float64 stacks raised peak
 memory by 1.5 MB on the B = 50 battery to save 1% of its time
@@ -40,10 +41,6 @@ from .series import stack_size
 
 _ASSORT_FIELDS = ("scalar_assort_var", "assort_var", "assort_coef", "scalar_assort_coef")
 _PATH_FIELDS = ("mean_len_directed", "mean_len_undirected")
-
-
-def _binarized(net: CouplingNetwork) -> np.ndarray:
-    return net.weights > 0
 
 
 @functools.lru_cache(maxsize=4)
@@ -87,49 +84,46 @@ def _adjacency(nets, dtype) -> np.ndarray:
     return a
 
 
-def degree_stats(nets) -> list:
+def degree_stats(stack) -> list:
     """Unweighted neighbor counts over all B nodes, isolated ones included.
 
-    One dict of report fields per network of a list sharing one bin count
-    (ValueError otherwise), computed a stack at a time (see _stacks). A
-    self-loop counts once in the out-degree and once in the in-degree of
+    One dict of report fields per network of one stack, a list of networks
+    sharing one bin count (measure_many keeps it within stack_size(B**2)).
+    A self-loop counts once in the out-degree and once in the in-degree of
     its node.
     """
-    stats = []
-    for stack in _stacks(nets):
-        a = _adjacency(stack, bool)
-        k_out = a.sum(axis=2)
-        k_in = a.sum(axis=1)
-        k_tot = k_out + k_in
-        stats += [
-            {
-                "mean_sq_k_total": sq_tot,
-                "mean_sq_k_out": sq_out,
-                "mean_sq_k_in": sq_in,
-                "mean_k_total": tot,
-                "mean_k_out": out,
-                "mean_k_in": in_,
-                "std_k_total": std,
-                "degree_concentration": tot**2 / sq_tot,
-            }
-            for sq_tot, sq_out, sq_in, tot, out, in_, std in zip(
-                (k_tot.astype(np.float64) ** 2).mean(axis=1).tolist(),
-                (k_out.astype(np.float64) ** 2).mean(axis=1).tolist(),
-                (k_in.astype(np.float64) ** 2).mean(axis=1).tolist(),
-                k_tot.mean(axis=1).tolist(),
-                k_out.mean(axis=1).tolist(),
-                k_in.mean(axis=1).tolist(),
-                k_tot.std(axis=1).tolist(),
-            )
-        ]
-    return stats
+    a = _adjacency(stack, bool)
+    k_out = a.sum(axis=2)
+    k_in = a.sum(axis=1)
+    k_tot = k_out + k_in
+    return [
+        {
+            "mean_sq_k_total": sq_tot,
+            "mean_sq_k_out": sq_out,
+            "mean_sq_k_in": sq_in,
+            "mean_k_total": tot,
+            "mean_k_out": out,
+            "mean_k_in": in_,
+            "std_k_total": std,
+            "degree_concentration": tot**2 / sq_tot,
+        }
+        for sq_tot, sq_out, sq_in, tot, out, in_, std in zip(
+            (k_tot.astype(np.float64) ** 2).mean(axis=1).tolist(),
+            (k_out.astype(np.float64) ** 2).mean(axis=1).tolist(),
+            (k_in.astype(np.float64) ** 2).mean(axis=1).tolist(),
+            k_tot.mean(axis=1).tolist(),
+            k_out.mean(axis=1).tolist(),
+            k_in.mean(axis=1).tolist(),
+            k_tot.std(axis=1).tolist(),
+        )
+    ]
 
 
-def clustering_stats(nets) -> list:
+def clustering_stats(stack) -> list:
     """Triangle-density measures on the loop-free binarized graph.
 
-    One dict of report fields per network of a list sharing one bin count
-    (ValueError otherwise), computed a stack at a time (see _stacks).
+    One dict of report fields per network of one stack, a list of networks
+    sharing one bin count (measure_many keeps it within stack_size(B**2)).
     cl_global is the transitivity of the undirected projection; local
     values are averaged over all B nodes with degree-<2 nodes contributing
     0, and cl_global_std is the undirected ones' standard deviation. The
@@ -137,50 +131,45 @@ def clustering_stats(nets) -> list:
     C_i = [(A + A^T)^3]_ii / (2 [d_i (d_i - 1) - 2 d_bi,i]) with
     d_bi,i = (A^2)_ii the number of reciprocal neighbors.
     """
-    stats = []
-    for stack in _stacks(nets):
-        n = stack[0].bin_count
-        if n < 3:
-            raise ValueError("clustering needs at least 3 bins")
-        # The products go to BLAS and count walks exactly while every count
-        # stays below the float's 2**24 (float32) or 2**53 (float64); the
-        # largest, [(A + A^T)^3]_ii, is at most 8 B**2. Ratios and means are
-        # taken in float64, as from int64 counts.
-        a = _adjacency(stack, np.float32 if 8 * n * n < 2**24 else np.float64)
-        a[:, np.arange(n), np.arange(n)] = 0
-        s = a + a.transpose(0, 2, 1)
+    n = stack[0].bin_count
+    # The products go to BLAS and count walks exactly while every count
+    # stays below the float's 2**24 (float32) or 2**53 (float64); the
+    # largest, [(A + A^T)^3]_ii, is at most 8 B**2. Ratios and means are
+    # taken in float64, as from int64 counts.
+    a = _adjacency(stack, np.float32 if 8 * n * n < 2**24 else np.float64)
+    a[:, np.arange(n), np.arange(n)] = 0
+    s = a + a.transpose(0, 2, 1)
 
-        u = (s > 0).astype(a.dtype)
-        deg = u.sum(axis=2, dtype=np.float64)
-        closed = np.einsum("kij,kji->ki", u @ u, u).astype(np.float64)
-        triples = deg * (deg - 1)
-        closed_sum, triples_sum = closed.sum(axis=1), triples.sum(axis=1)
-        global_coef = np.divide(
-            closed_sum, triples_sum, out=np.zeros_like(closed_sum), where=triples_sum > 0
+    u = (s > 0).astype(a.dtype)
+    deg = u.sum(axis=2, dtype=np.float64)
+    closed = np.einsum("kij,kji->ki", u @ u, u).astype(np.float64)
+    triples = deg * (deg - 1)
+    closed_sum, triples_sum = closed.sum(axis=1), triples.sum(axis=1)
+    global_coef = np.divide(
+        closed_sum, triples_sum, out=np.zeros_like(closed_sum), where=triples_sum > 0
+    )
+    local_u = np.divide(closed, triples, out=np.zeros_like(closed), where=triples > 0)
+
+    s3 = np.einsum("kij,kji->ki", s @ s, s).astype(np.float64)
+    d_tot = a.sum(axis=2, dtype=np.float64) + a.sum(axis=1, dtype=np.float64)
+    d_bi = np.einsum("kij,kji->ki", a, a).astype(np.float64)
+    denom = 2.0 * (d_tot * (d_tot - 1) - 2 * d_bi)
+    local_d = np.divide(s3, denom, out=np.zeros_like(s3), where=denom > 0)
+
+    return [
+        {
+            "cl_global": coef,
+            "cl_global_std": std,
+            "cl_local_undirected_mean": mean_u,
+            "cl_local_directed_mean": mean_d,
+        }
+        for coef, std, mean_u, mean_d in zip(
+            global_coef.tolist(),
+            local_u.std(axis=1).tolist(),
+            local_u.mean(axis=1).tolist(),
+            local_d.mean(axis=1).tolist(),
         )
-        local_u = np.divide(closed, triples, out=np.zeros_like(closed), where=triples > 0)
-
-        s3 = np.einsum("kij,kji->ki", s @ s, s).astype(np.float64)
-        d_tot = a.sum(axis=2, dtype=np.float64) + a.sum(axis=1, dtype=np.float64)
-        d_bi = np.einsum("kij,kji->ki", a, a).astype(np.float64)
-        denom = 2.0 * (d_tot * (d_tot - 1) - 2 * d_bi)
-        local_d = np.divide(s3, denom, out=np.zeros_like(s3), where=denom > 0)
-
-        stats += [
-            {
-                "cl_global": coef,
-                "cl_global_std": std,
-                "cl_local_undirected_mean": mean_u,
-                "cl_local_directed_mean": mean_d,
-            }
-            for coef, std, mean_u, mean_d in zip(
-                global_coef.tolist(),
-                local_u.std(axis=1).tolist(),
-                local_u.mean(axis=1).tolist(),
-                local_d.mean(axis=1).tolist(),
-            )
-        ]
-    return stats
+    ]
 
 
 def _bfs_distance_sums(adj: np.ndarray) -> tuple[int, int]:
@@ -218,7 +207,7 @@ def path_stats(net: CouplingNetwork) -> dict | None:
     only (about 100 of 200 bins in a Student-t(3) map network). None when
     no edge leaves the diagonal, where both means are undefined.
     """
-    a = _binarized(net)
+    a = net.weights > 0
     np.fill_diagonal(a, False)
     nodes = np.flatnonzero((a | a.T).any(axis=1))
     if not len(nodes):
@@ -254,7 +243,7 @@ def assortativity_stats(net: CouplingNetwork) -> dict | None:
     None when all endpoint degrees are identical (fewer than 2 edges
     included), where both coefficients are undefined.
     """
-    a = _binarized(net)
+    a = net.weights > 0
     k_out = a.sum(axis=1)
     k_in = a.sum(axis=0)
     k_tot = (k_out + k_in).astype(np.int64)
@@ -519,27 +508,23 @@ def _communities_stack(nets) -> list:
         labels = roots
 
 
-def detect_communities(nets) -> list:
+def detect_communities(stack) -> list:
     """Greedy agglomerative modularity maximization, one label array per network.
 
-    The networks must share one bin count (ValueError otherwise). Each works
+    The caller passes one stack, a list of networks sharing one bin count
+    (measure_many keeps it within stack_size(B**2)). Each network works
     on its weighted undirected projection W + W^T with self-loops kept as
     node strength. Communities start as singletons and are merged pairwise
     by best modularity gain, ties broken by the lexicographically smallest
     pair of community ids (a community's id is its smallest member node).
     Each network gets the labels of the highest-modularity partition it
-    encountered. Networks are taken in stacks (see _stacks); the labels
-    equal those of running each network alone.
+    encountered; the labels equal those of running each network alone.
     """
-    labels = []
-    for stack in _stacks(nets):
-        if len(stack) >= _STACK_MIN and all(
-            (2 * net.sample_count) ** 2 < 2**53 for net in stack
-        ):
-            labels += _communities_stack(stack)
-        else:
-            labels += [_communities_one(net) for net in stack]
-    return labels
+    if len(stack) >= _STACK_MIN and all(
+        (2 * net.sample_count) ** 2 < 2**53 for net in stack
+    ):
+        return _communities_stack(stack)
+    return [_communities_one(net) for net in stack]
 
 
 def modularity_stats(net: CouplingNetwork, partition) -> dict:

@@ -17,7 +17,7 @@ per distinct value, and every cell takes its value's text.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,29 +29,30 @@ DEFAULT_BIN_COUNT = 50
 
 @dataclass(frozen=True, eq=False)
 class CouplingNetwork:
-    """Weighted directed bin-co-occurrence network.
+    """Weighted directed bin-co-occurrence network: its B x B count matrix.
 
     ``weights[i, j]`` counts time steps with x in bin i and y in bin j;
-    the diagonal holds self-loops. All entries sum to ``sample_count``,
-    which is at least 1.
+    the diagonal holds self-loops. ``bin_count`` is B, the matrix side, and
+    ``sample_count`` is the total of all counts, which is at least 1.
     """
 
-    bin_count: int
     weights: np.ndarray
-    sample_count: int
+    bin_count: int = field(init=False)
+    sample_count: int = field(init=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.int64)
-        if w.shape != (self.bin_count, self.bin_count):
-            raise ValueError("weights must be a bin_count x bin_count matrix")
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ValueError("weights must be a square matrix")
         if np.any(w < 0):
             raise ValueError("weights must be non-negative")
-        if int(w.sum()) != self.sample_count:
-            raise ValueError("weights must sum to sample_count")
-        if self.sample_count < 1:
+        total = int(w.sum())
+        if total < 1:
             raise ValueError("a network needs at least one sample")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "bin_count", len(w))
+        object.__setattr__(self, "sample_count", total)
 
 
 def bin_indices(values: np.ndarray, bin_count: int) -> np.ndarray:
@@ -113,7 +114,7 @@ def _networks(xi: np.ndarray, yi: np.ndarray, bin_count: int):
     """
     for x, y in zip(xi, yi):
         w = np.bincount(x * bin_count + y, minlength=bin_count * bin_count)
-        yield CouplingNetwork(bin_count, w.reshape(bin_count, bin_count), len(x))
+        yield CouplingNetwork(w.reshape(bin_count, bin_count))
 
 
 def map_pair_rows(x: np.ndarray, y: np.ndarray, bin_count: int):

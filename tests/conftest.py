@@ -8,9 +8,8 @@ from couplemap.series import TimeSeries, index_series, write_csv
 
 
 def net_from(weights) -> CouplingNetwork:
-    """Wrap an integer matrix; sample_count is forced to the weight total."""
-    w = np.asarray(weights, dtype=np.int64)
-    return CouplingNetwork(len(w), w, int(w.sum()))
+    """Wrap an integer matrix as a network."""
+    return CouplingNetwork(weights)
 
 
 def edges_net(bin_count: int, edges, weight: int = 1) -> CouplingNetwork:

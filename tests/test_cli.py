@@ -1,8 +1,10 @@
 """End-to-end command-line contracts: files, exit codes, error lines."""
 
 import ast
+import hashlib
 import json
 import os
+import random
 from pathlib import Path
 
 import numpy as np
@@ -978,3 +980,53 @@ class TestHelp:
         out = capsys.readouterr().out
         for command in ("map", "map-lag", "baseline", "surrogate", "compare"):
             assert command in out
+
+
+class TestOutputBytes:
+    """The exact bytes map and map-lag write for two fixed integer series.
+
+    Raw mode keeps log and exp, whose SIMD paths may differ between CPUs,
+    out of the numbers. The digests were recorded with NumPy 2.4.6; the
+    NumPy 2.0 floor has not been checked against them.
+    """
+
+    DIGESTS = {
+        "map": {
+            "adjacency.tsv": "14684f174efbc23e1bae9c780c452d444d89443117df5cdbfbbae76c74c8c7ef",
+            "edges.csv": "13fdcb457115b467cb6c3679d143b7a922516150e0ebc5d6b8484128a8f1b701",
+            "joint.tsv": "d6726f09c9c151b1a4f0bb0aecacd041cd6e41104c8e6795a5e908dcb4c1b145",
+            "measures.json": "15a083f7e1cd4d4381edc3ee78db4371a08a24ae3e384704c297aeaaba1ffb20",
+        },
+        "map-lag": {
+            "adjacency.tsv": "7b4e2735667a0d303ceff7f5d820f5f120b6dc092d566e664e57c11cee6e9655",
+            "edges.csv": "7d6e4fa10be8a68964024d3f2952408c213fdc26e44c56a5b594cc96d466f70f",
+            "joint.tsv": "69cc8d97274d4e67dc78118bd665768436cf6f4915742c3cfc5f2954f067c1e5",
+            "measures.json": "dfeec74dbf7801d36be54bf186a9bff7466b5a41f1f196c7bba388ad9dd968d0",
+        },
+    }
+
+    @pytest.fixture
+    def integer_csvs(self, tmp_path):
+        """Two t,value CSVs of 400 integers in [1, 999]."""
+        draw = random.Random(7)
+        paths = []
+        for name in ("a.csv", "b.csv"):
+            path = tmp_path / name
+            rows = [f"{t},{draw.randint(1, 999)}" for t in range(400)]
+            path.write_text("t,value\n" + "\n".join(rows) + "\n")
+            paths.append(str(path))
+        return paths
+
+    def test_map_and_map_lag_bytes(self, integer_csvs, tmp_path, capsys):
+        a, b = integer_csvs
+        got = {}
+        for name, argv in (("map", ["map", a, b]), ("map-lag", ["map-lag", a, "--lag", "2"])):
+            out = tmp_path / name
+            code, _, stderr = run_cli(
+                capsys, *argv, "--preprocess", "raw", "--bins", "20", "--out", str(out)
+            )
+            assert code == 0, stderr
+            got[name] = {
+                p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
+            }
+        assert got == self.DIGESTS

@@ -295,10 +295,6 @@ class TestClusteringStats:
         }
         assert clustering_stats([net_from(w)])[0] == expected
 
-    def test_requires_three_bins(self):
-        with pytest.raises(ValueError):
-            clustering_stats([net_from([[1, 1], [0, 1]])])
-
     def test_bounds(self, rng):
         for _ in range(30):
             c = clustering_stats([net_from(random_weights(rng))])[0]
@@ -616,7 +612,7 @@ class TestMeasureAll:
         assert_matches_oracle(net.weights)
 
     def test_needs_three_bins(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^measure battery needs at least 3 bins$"):
             measure_all(net_from([[1, 1], [0, 1]]))
 
     def test_degenerate_measures_flagged_not_fatal(self):
@@ -652,9 +648,6 @@ class TestMeasureMany:
         other = net_from(measured_weights(kind, bins + 1))
         with pytest.raises(ValueError, match="bin count"):
             measure_many(nets[:2] + [other])
-        for family in (detect_communities, degree_stats, clustering_stats):
-            with pytest.raises(ValueError, match="bin count"):
-                family([nets[0], other])
 
 
 class TestTransposeBehavior:

@@ -103,24 +103,24 @@ class TestDiscretize:
 
 
 class TestCouplingNetwork:
-    def test_weight_sum_must_match(self):
-        with pytest.raises(ValueError):
-            CouplingNetwork(2, np.array([[1, 0], [0, 1]]), 3)
+    def test_sizes_come_from_the_weights(self):
+        net = CouplingNetwork(np.array([[1, 0, 2], [0, 3, 0], [1, 0, 0]]))
+        assert (net.bin_count, net.sample_count) == (3, 7)
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
-            CouplingNetwork(2, np.array([[-1, 1], [0, 1]]), 1)
+            CouplingNetwork(np.array([[-1, 1], [0, 1]]))
 
     def test_shape_checked(self):
-        with pytest.raises(ValueError):
-            CouplingNetwork(3, np.zeros((2, 2), dtype=int), 0)
+        with pytest.raises(ValueError, match="^weights must be a square matrix$"):
+            CouplingNetwork(np.ones((2, 3), dtype=int))
 
     def test_empty_network_rejected(self):
         with pytest.raises(ValueError, match="^a network needs at least one sample$"):
-            CouplingNetwork(3, np.zeros((3, 3), dtype=np.int64), 0)
+            CouplingNetwork(np.zeros((3, 3), dtype=np.int64))
 
     def test_weights_read_only(self):
-        net = CouplingNetwork(2, np.array([[1, 0], [0, 1]]), 2)
+        net = CouplingNetwork(np.array([[1, 0], [0, 1]]))
         with pytest.raises(ValueError):
             net.weights[0, 0] = 5
 
@@ -282,7 +282,7 @@ class TestRowStacks:
 
 class TestJointProbability:
     def test_division(self):
-        net = CouplingNetwork(2, np.array([[2, 0], [0, 2]]), 4)
+        net = CouplingNetwork(np.array([[2, 0], [0, 2]]))
         jp = joint_probability(net)
         assert np.array_equal(jp, [[0.5, 0.0], [0.0, 0.5]])
 
@@ -363,7 +363,7 @@ class TestWriterBytes:
 
     def test_integer_tables(self, rng, tmp_path):
         for w in self.weight_matrices(rng):
-            net = CouplingNetwork(len(w), w, int(w.sum()))
+            net = CouplingNetwork(w)
             write_adjacency_tsv(net, tmp_path / "adjacency.tsv")
             write_edge_list_csv(net, tmp_path / "edges.csv")
             with open(tmp_path / "adjacency.tsv", "rb") as fh:

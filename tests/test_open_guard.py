@@ -2,8 +2,10 @@
 only errors.py turns an OSError into an error or puts a path into a message;
 and only errors.py and cli.py catch a CoupleMapError kind, since every kind
 is one a command prints rather than a signal for other modules to handle;
-and only cli._write creates a directory, the commands handing it their
-writers rather than calling one."""
+only cli._write creates a directory, the commands handing it their
+writers rather than calling one; and only metrics.measure_many cuts a
+stream of networks into stacks, the stacked families measuring the one
+stack they are given."""
 
 import ast
 from pathlib import Path
@@ -131,3 +133,16 @@ def test_out_created_and_written_only_in_write():
         if name and name.startswith("write_")
     ]
     assert writers == []
+
+
+def test_networks_stacked_only_in_measure_many():
+    """Every call to metrics._stacks sits inside metrics.measure_many, so
+    degree_stats, clustering_stats and detect_communities each measure one
+    stack and never cut their own."""
+    stackers = [
+        (path.name, function)
+        for path in MODULES
+        for function, name in _calls(path)
+        if name == "_stacks"
+    ]
+    assert stackers == [("metrics.py", "measure_many")]
