@@ -295,6 +295,13 @@ class TestClusteringStats:
         }
         assert clustering_stats([net_from(w)])[0] == expected
 
+    def test_requires_three_bins(self):
+        # A triangle needs three nodes. measure_many, the one caller that
+        # cuts stacks for clustering_stats, refuses a stream of 2-bin networks.
+        two_bin = [net_from([[1, 1], [0, 1]]), net_from([[2, 0], [1, 1]])]
+        with pytest.raises(ValueError, match="^measure battery needs at least 3 bins$"):
+            measure_many(two_bin)
+
     def test_bounds(self, rng):
         for _ in range(30):
             c = clustering_stats([net_from(random_weights(rng))])[0]
