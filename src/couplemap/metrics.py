@@ -12,14 +12,19 @@ clustering. measure_all merges them with deformation_R into the report.
 measure_many measures networks of one bin count in stacks of as many as
 keep each stacked (R, B, B) array within 512 KB (series.stack_size; 26 at
 B = 50); it alone cuts the stream into stacks (_stacks). Degrees,
-clustering and greedy community detection run once per stack
-(degree_stats, clustering_stats and detect_communities take one stack and
-return one result per network). Paths, assortativity,
-deformation and modularity run per network: stacked, paths and
-assortativity ran slower, and deformation's float64 stacks raised peak
-memory by 1.5 MB on the B = 50 battery to save 1% of its time
-(modularity would need float64 stacks too). Each report equals
-measure_all's for that network alone, bit for bit.
+clustering, paths and greedy community detection run once per stack
+(degree_stats, clustering_stats, path_stats and detect_communities take
+one stack and return one result per network). Assortativity, deformation
+and modularity run per network: stacked, assortativity ran slower, and
+deformation's float64 stacks raised peak memory by 1.5 MB on the B = 50
+battery to save 1% of its time (modularity would need float64 stacks
+too). Each report equals measure_all's for that network alone, bit for
+bit.
+
+Clustering and paths are integer counts on the loop-free graph, taken
+with popcounts of adjacency rows packed into 64-bit words (_packed), over
+the stack's edge list (_edges). Nothing here multiplies matrices, so no
+BLAS thread runs.
 
 A network measured alone (a stack of fewer than _STACK_MIN, so every
 network above B = 104) has its communities detected by _communities_one:
@@ -76,12 +81,75 @@ def deformation_ratio(p: np.ndarray) -> float:
     return (s_main - s_anti) / max(s_main, s_anti)
 
 
-def _adjacency(nets, dtype) -> np.ndarray:
-    """(R, B, B) stack of the networks' binarized weights as dtype."""
-    a = np.empty((len(nets), nets[0].bin_count, nets[0].bin_count), dtype=dtype)
+def _adjacency(nets) -> np.ndarray:
+    """(R, B, B) bool stack of the networks' binarized weights."""
+    a = np.empty((len(nets), nets[0].bin_count, nets[0].bin_count), dtype=bool)
     for k, net in enumerate(nets):
         np.greater(net.weights, 0, out=a[k])
     return a
+
+
+def _loop_free(nets) -> np.ndarray:
+    """_adjacency with the self-loops removed."""
+    a = _adjacency(nets)
+    n = a.shape[1]
+    a[:, np.arange(n), np.arange(n)] = False
+    return a
+
+
+def _packed(rows: np.ndarray) -> np.ndarray:
+    """(m, B) bool rows as (m, ceil(B / 64)) uint64 words, zero-padded.
+
+    Cell v of a row is bit v % 8 of the row's byte v // 8. Only bitwise
+    operations and popcounts read the words, so the order of the bytes
+    within a word never matters.
+    """
+    m, n = rows.shape
+    padded = np.zeros((m, -(-n // 64) * 64), dtype=bool)
+    padded[:, :n] = rows
+    # one flat pack: packing along axis 1 is about twice as slow
+    return np.packbits(padded, bitorder="little").view(np.uint64).reshape(m, -1)
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of (m, W) uint64 words, as int64.
+
+    Summed one word column at a time: NumPy's sum along a short last axis
+    is several times slower.
+    """
+    counts = np.bitwise_count(words[:, 0]).astype(np.int64)
+    for w in range(1, words.shape[1]):
+        counts += np.bitwise_count(words[:, w])
+    return counts
+
+
+def _edges(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The true cells of a (G, B, B) bool stack in row-major order: their
+    flat numbers (g B + i) B + j, and the row numbers g B + i and g B + j
+    of the stack's (G B, B) rows. int32 while every cell number fits, which
+    halves the memory of a stack's edge lists."""
+    n = adj.shape[1]
+    cells = np.flatnonzero(adj).astype(np.int32 if adj.size < 2**31 else np.int64)
+    i = cells // n
+    j = i // n * n  # g B
+    j += cells
+    j -= i * n  # g B plus the column
+    return cells, i, j
+
+
+def _pair_counts(rows_a: np.ndarray, rows_b: np.ndarray, i, j) -> np.ndarray:
+    """|rows_a[i] & rows_b[j]| for each pair of word rows, as int64.
+
+    The rows are gathered stack_size(W) pairs at a time, so no gathered
+    array passes the 512 KB budget.
+    """
+    counts = np.empty(len(i), dtype=np.int64)
+    step = stack_size(rows_a.shape[1])
+    for lo in range(0, len(i), step):
+        words = np.take(rows_a, i[lo : lo + step], axis=0)
+        words &= np.take(rows_b, j[lo : lo + step], axis=0)
+        counts[lo : lo + step] = _popcount(words)
+    return counts
 
 
 def degree_stats(stack) -> list:
@@ -92,7 +160,7 @@ def degree_stats(stack) -> list:
     A self-loop counts once in the out-degree and once in the in-degree of
     its node.
     """
-    a = _adjacency(stack, bool)
+    a = _adjacency(stack)
     k_out = a.sum(axis=2)
     k_in = a.sum(axis=1)
     k_tot = k_out + k_in
@@ -128,21 +196,43 @@ def clustering_stats(stack) -> list:
     values are averaged over all B nodes with degree-<2 nodes contributing
     0, and cl_global_std is the undirected ones' standard deviation. The
     directed local coefficient counts all triangle orientations:
-    C_i = [(A + A^T)^3]_ii / (2 [d_i (d_i - 1) - 2 d_bi,i]) with
+    C_i = [S^3]_ii / (2 [d_i (d_i - 1) - 2 d_bi,i]) with S = A + A^T and
     d_bi,i = (A^2)_ii the number of reciprocal neighbors.
-    """
-    n = stack[0].bin_count
-    # The products go to BLAS and count walks exactly while every count
-    # stays below the float's 2**24 (float32) or 2**53 (float64); the
-    # largest, [(A + A^T)^3]_ii, is at most 8 B**2. Ratios and means are
-    # taken in float64, as from int64 counts.
-    a = _adjacency(stack, np.float32 if 8 * n * n < 2**24 else np.float64)
-    a[:, np.arange(n), np.arange(n)] = 0
-    s = a + a.transpose(0, 2, 1)
 
-    u = (s > 0).astype(a.dtype)
-    deg = u.sum(axis=2, dtype=np.float64)
-    closed = np.einsum("kij,kji->ki", u @ u, u).astype(np.float64)
+    Both numerators are exact integer counts over the undirected edges, by
+    popcounts of packed neighbor rows. With U = A | A^T the undirected
+    neighbors and Rc = A & A^T the reciprocal ones, S = U + Rc and
+    - closed_i = [U^3]_ii = sum over j in U(i) of |U_i & U_j|;
+    - [S^3]_ii = sum over j in U(i) of S_ij (|U_i & U_j| + |U_i & Rc_j|
+      + |Rc_i & U_j| + |Rc_i & Rc_j|).
+    Each edge {i, j} adds its term to both ends. Ratios and means are taken
+    in float64 from these integers.
+    """
+    r, n = len(stack), stack[0].bin_count
+    a = _loop_free(stack)
+    u = a | a.transpose(0, 2, 1)
+    rc = a & a.transpose(0, 2, 1)
+    del a
+    # each undirected edge {i, j} once, with i < j
+    cells, i, j = _edges(u & (np.arange(n)[:, None] < np.arange(n)))
+    reciprocal = np.take(rc, cells)
+    del cells
+    u, rc = _packed(u.reshape(-1, n)), _packed(rc.reshape(-1, n))
+    deg, d_bi = _popcount(u), _popcount(rc)
+    d_tot = deg + d_bi  # out- plus in-degree
+    deg, d_tot, d_bi = (x.astype(np.float64).reshape(r, n) for x in (deg, d_tot, d_bi))
+
+    common = _pair_counts(u, u, i, j)
+    walks = common + _pair_counts(u, rc, i, j) + _pair_counts(rc, u, i, j)
+    walks += _pair_counts(rc, rc, i, j)
+    walks += walks * reciprocal  # S_ij = 2 on a reciprocal pair
+
+    def per_node(values):
+        # bincount of an empty edge list gives int64, so cast
+        sums = np.bincount(i, values, r * n) + np.bincount(j, values, r * n)
+        return sums.astype(np.float64).reshape(r, n)
+
+    closed = per_node(common)
     triples = deg * (deg - 1)
     closed_sum, triples_sum = closed.sum(axis=1), triples.sum(axis=1)
     global_coef = np.divide(
@@ -150,9 +240,7 @@ def clustering_stats(stack) -> list:
     )
     local_u = np.divide(closed, triples, out=np.zeros_like(closed), where=triples > 0)
 
-    s3 = np.einsum("kij,kji->ki", s @ s, s).astype(np.float64)
-    d_tot = a.sum(axis=2, dtype=np.float64) + a.sum(axis=1, dtype=np.float64)
-    d_bi = np.einsum("kij,kji->ki", a, a).astype(np.float64)
+    s3 = per_node(walks)
     denom = 2.0 * (d_tot * (d_tot - 1) - 2 * d_bi)
     local_d = np.divide(s3, denom, out=np.zeros_like(s3), where=denom > 0)
 
@@ -172,53 +260,85 @@ def clustering_stats(stack) -> list:
     ]
 
 
-def _bfs_distance_sums(adj: np.ndarray) -> tuple[int, int]:
-    """(sum of finite distances, number of reachable ordered pairs i != j)
-    of a loop-free boolean adjacency.
-
-    Breadth-first search from every source at once: row i of the frontier
-    holds the nodes first reached from i at the current distance. The
-    adjacency itself is the frontier at distance 1.
-    """
-    # only > 0 is read, and a positive sum of 0/1 products never rounds
-    # to 0, so float32 keeps every distance exact at any B
-    a = adj.astype(np.float32)
-    reach = adj | np.eye(len(adj), dtype=bool)
-    frontier = adj
-    total = count = hits = int(np.count_nonzero(adj))
-    dist = 1
-    while hits:
-        frontier = ((frontier @ a) > 0) & ~reach
-        hits = int(np.count_nonzero(frontier))
-        dist += 1
-        total += dist * hits
-        count += hits
-        reach |= frontier
-    return total, count
-
-
-def path_stats(net: CouplingNetwork) -> dict | None:
+def path_stats(stack) -> list:
     """Mean unweighted shortest-path lengths, self-loops ignored.
 
-    Directed means run over all ordered reachable pairs, undirected over
-    connected unordered pairs of the symmetrized graph; unreachable pairs
-    are excluded rather than imputed. A node without an edge to or from
-    another node lies on no path, so the search runs on the other nodes
-    only (about 100 of 200 bins in a Student-t(3) map network). None when
-    no edge leaves the diagonal, where both means are undefined.
+    One dict of report fields, or None, per network of one stack, a list
+    of networks sharing one bin count (measure_many keeps it within
+    stack_size(B**2)). Directed means run over all ordered reachable pairs,
+    undirected over connected unordered pairs of the symmetrized graph;
+    unreachable pairs are excluded rather than imputed. None when no edge
+    leaves the diagonal, where both means are undefined.
+
+    One breadth-first search runs from every source of the stack's 2R
+    graphs at once (R directed, then R symmetrized), on packed bit rows
+    (Then et al., PVLDB 8(4), 2014): row (g, l) of the frontier holds the
+    sources whose search first reaches node l at the current distance. At
+    distance 1 that is l's in-neighbors; the next frontier of l is the OR
+    of its in-neighbors' rows, less the sources that have reached l before.
+    Distance sums and pair counts are integers, divided once at the end.
     """
-    a = net.weights > 0
-    np.fill_diagonal(a, False)
-    nodes = np.flatnonzero((a | a.T).any(axis=1))
-    if not len(nodes):
-        return None
-    a = a[nodes][:, nodes]  # two takes; np.ix_ indexing is slower
-    d_total, d_count = _bfs_distance_sums(a)
-    u_total, u_count = _bfs_distance_sums(a | a.T)
-    return {
-        "mean_len_directed": d_total / d_count,
-        "mean_len_undirected": u_total / u_count,
-    }
+    r, n = len(stack), stack[0].bin_count
+    a = _loop_free(stack)
+    # row (g, l) of ins holds l's in-neighbors in graph g
+    ins = np.empty((2 * r, n, n), dtype=bool)
+    ins[:r] = a.transpose(0, 2, 1)
+    np.logical_or(a, ins[:r], out=ins[r:])
+    del a
+    _, _, source = _edges(ins)
+    if not len(source):
+        return [None] * r
+    source = source.astype(np.intp)  # np.take would convert it at every step
+    frontier = _packed(ins.reshape(-1, n))
+    del ins
+    # sources yet to reach each node: all but the node and its in-neighbors
+    unreached = np.tile(_packed(~np.eye(n, dtype=bool)), (2 * r, 1))
+    unreached &= ~frontier
+    # the nodes with an in-neighbor, and where their in-edges start
+    indegree = _popcount(frontier)
+    target = np.flatnonzero(indegree)
+    starts = (np.cumsum(indegree) - indegree)[target]
+    # the in-edges in runs of stack_size(W), so the gathered rows keep
+    # within the 512 KB budget; a node's in-edges may span two runs
+    step = stack_size(frontier.shape[1])
+    runs = []
+    for lo in range(0, len(source), step):
+        first = np.searchsorted(starts, lo, side="right") - 1
+        last = np.searchsorted(starts, lo + step)
+        local = starts[first:last] - lo
+        local[0] = 0
+        runs.append((source[lo : lo + step], local, target[first:last]))
+    gathered = np.empty((min(step, len(source)), frontier.shape[1]), dtype=np.uint64)
+
+    def graph_hits():
+        return np.bitwise_count(frontier).reshape(2 * r, -1).sum(axis=1, dtype=np.int64)
+
+    hits = graph_hits()
+    total, count = hits.copy(), hits.copy()
+    dist = 1
+    while hits.any():
+        dist += 1
+        reached = np.zeros_like(frontier)
+        for run, local, nodes in runs:
+            rows = gathered[: len(run)]
+            # "clip" mode writes out= directly; "raise" buffers it first
+            np.take(frontier, run, axis=0, out=rows, mode="clip")
+            reached[nodes] |= np.bitwise_or.reduceat(rows, local, axis=0)
+        np.bitwise_and(reached, unreached, out=frontier)
+        unreached ^= frontier
+        hits = graph_hits()
+        total += dist * hits
+        count += hits
+    total, count = total.tolist(), count.tolist()
+    return [
+        {
+            "mean_len_directed": total[k] / count[k],
+            "mean_len_undirected": total[r + k] / count[r + k],
+        }
+        if count[k]
+        else None
+        for k in range(r)
+    ]
 
 
 def _pearson_int(m: int, sxy: int, sp2: int, sq2: int) -> tuple[int, int]:
@@ -622,8 +742,9 @@ def measure_many(nets) -> list:
     """measure_all for each of an iterable of networks sharing one bin count.
 
     Networks are taken from the iterable one stack at a time (see _stacks),
-    and each stack's degrees, clustering and communities are measured
-    together; every report equals measure_all's for that network alone.
+    and each stack's degrees, clustering, paths and communities are
+    measured together; every report equals measure_all's for that network
+    alone.
     """
     reports = []
     for stack in _stacks(nets):
@@ -635,17 +756,18 @@ def measure_many(nets) -> list:
             detect_communities(stack),
             degree_stats(stack),
             clustering_stats(stack),
+            path_stats(stack),
         )
     return reports
 
 
 def _report(
-    net: CouplingNetwork, labels: np.ndarray, deg: dict, clu: dict
+    net: CouplingNetwork, labels: np.ndarray, deg: dict, clu: dict, paths: dict | None
 ) -> MeasureReport:
     values = {**deg, **clu, "deformation_R": deformation_ratio(joint_probability(net))}
     flags: list[str] = []
     for names, family in (
-        (_PATH_FIELDS, path_stats(net)),
+        (_PATH_FIELDS, paths),
         (_ASSORT_FIELDS, assortativity_stats(net)),
     ):
         if family is None:

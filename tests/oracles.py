@@ -5,9 +5,11 @@ with loops, fsum and exact rationals; no numpy. The community-detection
 oracle replays the greedy agglomeration step by step with the same float
 arithmetic, since the partition search is defined by the algorithm itself.
 estimate_hurst checks generated noise against its Hurst exponent.
-oracle_circulant_fgn is the one NumPy reference: the fGn draw written with
-complex temporaries and a fresh FFT, whose bits synth's in-place draw must
-reproduce.
+Three NumPy references keep earlier kernels whose bits the library must
+reproduce: oracle_circulant_fgn, the fGn draw written with complex
+temporaries and a fresh FFT; oracle_dense_clustering and
+oracle_dense_path_sums, the clustering and breadth-first-search kernels as
+float matrix products, from before they counted with popcounts.
 """
 
 import math
@@ -126,6 +128,76 @@ def oracle_path_stats(w):
         ]
         out.append(sum(finite) / len(finite))
     return tuple(out)
+
+
+def oracle_dense_clustering(stack):
+    """clustering_stats by float matrix products, one dict per network of
+    a stack sharing one bin count."""
+    n = stack[0].bin_count
+    # The products go to BLAS and count walks exactly while every count
+    # stays below the float's 2**24 (float32) or 2**53 (float64); the
+    # largest, [(A + A^T)^3]_ii, is at most 8 B**2. Ratios and means are
+    # taken in float64, as from int64 counts.
+    a = np.stack([net.weights > 0 for net in stack])
+    a = a.astype(np.float32 if 8 * n * n < 2**24 else np.float64)
+    a[:, np.arange(n), np.arange(n)] = 0
+    s = a + a.transpose(0, 2, 1)
+
+    u = (s > 0).astype(a.dtype)
+    deg = u.sum(axis=2, dtype=np.float64)
+    closed = np.einsum("kij,kji->ki", u @ u, u).astype(np.float64)
+    triples = deg * (deg - 1)
+    closed_sum, triples_sum = closed.sum(axis=1), triples.sum(axis=1)
+    global_coef = np.divide(
+        closed_sum, triples_sum, out=np.zeros_like(closed_sum), where=triples_sum > 0
+    )
+    local_u = np.divide(closed, triples, out=np.zeros_like(closed), where=triples > 0)
+
+    s3 = np.einsum("kij,kji->ki", s @ s, s).astype(np.float64)
+    d_tot = a.sum(axis=2, dtype=np.float64) + a.sum(axis=1, dtype=np.float64)
+    d_bi = np.einsum("kij,kji->ki", a, a).astype(np.float64)
+    denom = 2.0 * (d_tot * (d_tot - 1) - 2 * d_bi)
+    local_d = np.divide(s3, denom, out=np.zeros_like(s3), where=denom > 0)
+
+    return [
+        {
+            "cl_global": coef,
+            "cl_global_std": std,
+            "cl_local_undirected_mean": mean_u,
+            "cl_local_directed_mean": mean_d,
+        }
+        for coef, std, mean_u, mean_d in zip(
+            global_coef.tolist(),
+            local_u.std(axis=1).tolist(),
+            local_u.mean(axis=1).tolist(),
+            local_d.mean(axis=1).tolist(),
+        )
+    ]
+
+
+def oracle_dense_path_sums(adj):
+    """(sum of finite distances, number of reachable ordered pairs i != j)
+    of a loop-free boolean adjacency.
+
+    Breadth-first search from every source at once: row i of the frontier
+    holds the nodes first reached from i at the current distance. The
+    adjacency itself is the frontier at distance 1.
+    """
+    # only > 0 is read, and a positive sum of 0/1 products never rounds
+    # to 0, so float32 keeps every distance exact at any B
+    a = adj.astype(np.float32)
+    reach = adj | np.eye(len(adj), dtype=bool)
+    frontier = adj
+    total = count = hits = int(np.count_nonzero(adj))
+    dist = 1
+    while hits:
+        frontier = ((frontier @ a) > 0) & ~reach
+        hits = int(np.count_nonzero(frontier))
+        dist += 1
+        total += dist * hits
+        count += hits
+        reach |= frontier
+    return total, count
 
 
 def _edge_list(w):

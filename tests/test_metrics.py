@@ -1,14 +1,18 @@
 """Measure battery vs brute-force oracles and the hand-enumerated fixtures."""
 
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import edges_net, net_from, random_weights, special_weight_matrices
 from couplemap import joint_probability, measure_all
+from couplemap.ensemble import EnsembleConfig, derive_seed
 from couplemap.metrics import (
     _STACK_MIN,
     MEASURE_FIELDS,
@@ -22,9 +26,9 @@ from couplemap.metrics import (
     modularity_stats,
     path_stats,
 )
-from couplemap.netmap import map_lagged, map_pair
+from couplemap.netmap import map_lagged, map_lagged_rows, map_pair
 from couplemap.series import AlignedPair, index_series
-from couplemap.synth import FgnSpec, generate_fgn, surrogate
+from couplemap.synth import FgnSpec, fgn_stacks, generate_fgn, surrogate
 
 
 def assert_close(lhs, rhs, label, tol=1e-12):
@@ -92,6 +96,53 @@ def networkx_path_means(w) -> dict:
     }
 
 
+def dense_path_stats(net) -> dict | None:
+    """path_stats of one network from oracles.oracle_dense_path_sums."""
+    a = net.weights > 0
+    np.fill_diagonal(a, False)
+    if not a.any():
+        return None
+    d_total, d_count = oracles.oracle_dense_path_sums(a)
+    u_total, u_count = oracles.oracle_dense_path_sums(a | a.T)
+    return {
+        "mean_len_directed": d_total / d_count,
+        "mean_len_undirected": u_total / u_count,
+    }
+
+
+def word_boundary_stack(bins: int) -> list:
+    """Networks of one bin count that reach the edge cases of packed rows.
+
+    A network of self-loops alone (paths None), a complete graph, the chain
+    0 -> 1 -> ... -> B-1 (B-1 search levels), a network whose only edges
+    enter bin B-1, and random graphs from sparse to dense.
+    """
+    rng = np.random.default_rng(bins)
+    into_last = np.zeros((bins, bins), dtype=np.int64)
+    into_last[:-1, -1] = 1
+    weights = [
+        np.diag(np.arange(1, bins + 1)),
+        np.ones((bins, bins), dtype=np.int64),
+        np.eye(bins, k=1, dtype=np.int64),
+        into_last,
+    ]
+    for density in (1.5 / bins, 0.05, 0.3, 0.9):
+        w = (rng.random((bins, bins)) < density) * rng.integers(1, 9, (bins, bins))
+        w[0, 0] += 1  # never empty
+        weights.append(w)
+    return [net_from(w) for w in weights]
+
+
+def first_battery_stack() -> list:
+    """The default battery's first 26 networks: one full B = 50 measure stack."""
+    cfg = EnsembleConfig()
+    seeds = [derive_seed(cfg.master_seed, 0, s) for s in range(26)]
+    nets = []
+    for rows in fgn_stacks(cfg.hurst_values[0], cfg.series_length, seeds):
+        nets += map_lagged_rows(rows, cfg.lag, cfg.bin_count)
+    return nets
+
+
 class TestSchema:
     def test_table_has_twenty_measures(self):
         # the twenty radar measures, then degree_concentration
@@ -126,7 +177,7 @@ class TestSchema:
         families = {
             "degree": degree_stats([net])[0],
             "clustering": clustering_stats([net])[0],
-            "paths": path_stats(net),
+            "paths": path_stats([net])[0],
             "assortativity": assortativity_stats(net),
             "modularity": modularity_stats(net, detect_communities([net])[0]),
         }
@@ -271,7 +322,9 @@ class TestClusteringStats:
 
     def test_counts_exact_past_float32(self):
         # at B = 1600 this graph's [(A + A^T)^3]_ii exceed 2**24, past which
-        # float32 products would round them; the reference counts in float64
+        # float32 products would round them; the reference counts in
+        # float64, and the kernel counts on rows of 25 words, with its
+        # gathers cut into runs
         rng = np.random.default_rng(1)
         w = (rng.random((1600, 1600)) < 0.97).astype(np.int64)
         a = (w > 0).astype(np.float64)
@@ -313,35 +366,35 @@ class TestClusteringStats:
 
 class TestPathStats:
     def test_directed_three_cycle(self):
-        p = path_stats(edges_net(3, [(0, 1), (1, 2), (2, 0)]))
+        p = path_stats([edges_net(3, [(0, 1), (1, 2), (2, 0)])])[0]
         assert p["mean_len_directed"] == pytest.approx(1.5)
         assert p["mean_len_undirected"] == pytest.approx(1.0)
 
     def test_complete_graph(self):
         b = 4
-        p = path_stats(net_from(np.ones((b, b), dtype=np.int64)))
+        p = path_stats([net_from(np.ones((b, b), dtype=np.int64))])[0]
         assert p["mean_len_directed"] == 1.0
         assert p["mean_len_undirected"] == 1.0
 
     def test_two_disconnected_dyads(self):
-        p = path_stats(edges_net(4, [(0, 1), (1, 0), (2, 3), (3, 2)]))
+        p = path_stats([edges_net(4, [(0, 1), (1, 0), (2, 3), (3, 2)])])[0]
         assert p["mean_len_directed"] == 1.0
         assert p["mean_len_undirected"] == 1.0
 
     def test_only_self_loops_is_edgeless(self):
-        assert path_stats(edges_net(3, [(0, 0), (1, 1)])) is None
+        assert path_stats([edges_net(3, [(0, 0), (1, 1)])])[0] is None
 
     def test_none_exactly_where_oracle_is_none(self, rng):
         undefined = 0
         for w in special_weight_matrices() + [random_weights(rng) for _ in range(60)]:
             expected = oracles.oracle_path_stats(w.tolist())
-            assert (path_stats(net_from(w)) is None) == (expected is None)
+            assert (path_stats([net_from(w)])[0] is None) == (expected is None)
             undefined += expected is None
         assert undefined > 0
 
     def test_unreachable_pairs_excluded(self):
         # 0 -> 1 -> 2: five reachable ordered pairs would be wrong, three right
-        p = path_stats(edges_net(3, [(0, 1), (1, 2)]))
+        p = path_stats([edges_net(3, [(0, 1), (1, 2)])])[0]
         assert p["mean_len_directed"] == pytest.approx((1 + 1 + 2) / 3)
         assert p["mean_len_undirected"] == pytest.approx((1 + 1 + 2) / 3)
 
@@ -353,7 +406,7 @@ class TestPathStats:
         # heavy tails leave about half of the 200 bins without an edge
         assert (a.any(axis=0) | a.any(axis=1)).sum() < 120
         # both sides divide the same two integer sums
-        assert path_stats(net_from(w)) == networkx_path_means(w)
+        assert path_stats([net_from(w)])[0] == networkx_path_means(w)
 
     def test_networkx_with_edgeless_nodes(self, rng):
         # out-only 0, in-only 2 and 5, a node with only a self-loop (3)
@@ -380,7 +433,7 @@ class TestPathStats:
             np.fill_diagonal(a, False)
             if not a.any():
                 continue
-            assert path_stats(net_from(w)) == networkx_path_means(w)
+            assert path_stats([net_from(w)])[0] == networkx_path_means(w)
             checked += 1
         assert checked > 30
 
@@ -391,7 +444,7 @@ class TestPathStats:
             if oracles.oracle_path_stats(w.tolist()) is None:
                 continue
             net = net_from(w)
-            p = path_stats(net)
+            p = path_stats([net])[0]
             # symmetrizing can only shorten paths on mutually reachable pairs
             a = (net.weights > 0).copy()
             np.fill_diagonal(a, False)
@@ -405,6 +458,49 @@ class TestPathStats:
                 continue
             assert p["mean_len_undirected"] <= p["mean_len_directed"] + 1e-12
             checked += 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        bins=st.integers(3, 130),
+        mean_degree=st.floats(0.0, 8.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(bins=64, mean_degree=1.0, seed=0)
+    @example(bins=65, mean_degree=1.0, seed=0)
+    @example(bins=129, mean_degree=2.0, seed=0)
+    def test_random_digraphs_match_floyd_warshall(self, bins, mean_degree, seed):
+        rng = np.random.default_rng(seed)
+        w = (rng.random((bins, bins)) < mean_degree / bins).astype(np.int64)
+        w[0, 0] += 1  # never empty
+        expected = oracles.oracle_path_stats(w.tolist())
+        got = path_stats([net_from(w)])[0]
+        if expected is None:
+            assert got is None
+        else:
+            assert (got["mean_len_directed"], got["mean_len_undirected"]) == expected
+
+
+class TestWordBoundaries:
+    """The popcount kernels give the float-product kernels' reports, repr
+    for repr, at bin counts on either side of a 64-bit word."""
+
+    @pytest.mark.parametrize("bins", [3, 8, 63, 64, 65, 128, 129, 200])
+    def test_equal_dense_products(self, bins):
+        stack = word_boundary_stack(bins)
+        paths = path_stats(stack)
+        clustering = clustering_stats(stack)
+        assert [repr(p) for p in paths] == [repr(dense_path_stats(net)) for net in stack]
+        assert [repr(c) for c in clustering] == [
+            repr(c) for c in oracles.oracle_dense_clustering(stack)
+        ]
+        assert paths[0] is None and all(p is not None for p in paths[1:])
+        # the chain's directed mean: sum of d (B - d) over d, per reachable pair
+        pairs = bins * (bins - 1) // 2
+        chain = sum(d * (bins - d) for d in range(1, bins))
+        assert paths[2]["mean_len_directed"] == chain / pairs
+        # each network measured alone gives the same
+        assert [path_stats([net])[0] for net in stack] == paths
+        assert [clustering_stats([net])[0] for net in stack] == clustering
 
 
 class TestAssortativity:
@@ -655,6 +751,28 @@ class TestMeasureMany:
         other = net_from(measured_weights(kind, bins + 1))
         with pytest.raises(ValueError, match="bin count"):
             measure_many(nets[:2] + [other])
+
+    # traced peak of one measure_many call before paths and clustering
+    # counted with popcounts, in KiB; the ceiling is 10% above it
+    @pytest.mark.parametrize(
+        "networks, parent_kib",
+        [
+            pytest.param(first_battery_stack, 1146, id="battery-stack-b50"),
+            pytest.param(
+                lambda: [net_from(measured_weights("student-t", 200))], 757, id="map-b200"
+            ),
+        ],
+    )
+    def test_traced_peak_within_ceiling(self, networks, parent_kib):
+        nets = networks()
+        measure_many(nets)  # fills the diagonal-coordinate cache
+        tracemalloc.start()
+        try:
+            measure_many(nets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * parent_kib * 1024, f"{peak / 1024:.0f} KiB"
 
 
 class TestTransposeBehavior:

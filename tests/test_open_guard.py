@@ -3,9 +3,9 @@ only errors.py turns an OSError into an error or puts a path into a message;
 and only errors.py and cli.py catch a CoupleMapError kind, since every kind
 is one a command prints rather than a signal for other modules to handle;
 only cli._write creates a directory, the commands handing it their
-writers rather than calling one; and only metrics.measure_many cuts a
+writers rather than calling one; only metrics.measure_many cuts a
 stream of networks into stacks, the stacked families measuring the one
-stack they are given."""
+stack they are given; and no module multiplies matrices."""
 
 import ast
 from pathlib import Path
@@ -146,3 +146,36 @@ def test_networks_stacked_only_in_measure_many():
         if name == "_stacks"
     ]
     assert stackers == [("metrics.py", "measure_many")]
+
+
+# NumPy functions that hand a product to BLAS
+MATRIX_PRODUCTS = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum"}
+
+
+def _matrix_products(path: Path):
+    """(line, what) of each @, call of a matrix product, or linalg name."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in MATRIX_PRODUCTS:
+                yield node.lineno, name
+        names = {getattr(node, "id", None), getattr(node, "attr", None)}
+        for dotted in (getattr(node, "name", None), getattr(node, "module", None)):
+            if isinstance(dotted, str):
+                names.update(dotted.split("."))
+        if "linalg" in names:
+            yield node.lineno, "linalg"
+
+
+def test_no_matrix_products():
+    """The package makes no BLAS call: no @ operator, no call of a matrix
+    product and no linalg function. Where the measure battery multiplied
+    matrices, BLAS's own second thread spun between the calls, and each
+    surrogate-b200 benchmark operation used 2.1 s of CPU per second of
+    wall time."""
+    products = [
+        (path.name, lineno, what) for path in MODULES for lineno, what in _matrix_products(path)
+    ]
+    assert products == []
