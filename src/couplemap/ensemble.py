@@ -224,7 +224,8 @@ def radar_normalize(systems: dict) -> dict:
     (the raw measure vectors), normalized and distance_to_uncoupled.
     All-equal measures normalize to 0.5 everywhere. distance_to_uncoupled is
     the Euclidean distance between a system's normalized vector and
-    UNCOUPLED_SYSTEM's.
+    UNCOUPLED_SYSTEM's. A measure whose values span more than the float
+    range is refused with ValueError, as it cannot be rescaled.
     """
     if len(systems) < 2:
         raise ValueError(f"need at least 2 systems, got {len(systems)}")
@@ -243,6 +244,10 @@ def radar_normalize(systems: dict) -> dict:
     for measure in measure_names:
         values = [float(systems[name][measure]) for name in names]
         lo, hi = min(values), max(values)
+        if not math.isfinite(hi - lo):
+            raise ValueError(
+                f"{measure} ranges from {lo!r} to {hi!r}, a span out of the float range"
+            )
         for name, value in zip(names, values):
             normalized[name][measure] = (
                 0.5 if hi == lo else (value - lo) / (hi - lo)

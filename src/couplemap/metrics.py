@@ -1,9 +1,10 @@
 """Deformation ratio and the twenty-statistic measure battery.
 
-Degrees, clustering and path lengths are defined on the binarized graph
-(edge present iff weight > 0); self-loops count in degrees but are removed
-for clustering and paths. Modularity is the only weighted family. Every
-statistic here has a matching brute-force oracle in the test suite.
+Degrees, clustering, path lengths and assortativity are defined on the
+binarized graph (edge present iff weight > 0); self-loops count in degrees
+and assortativity but are ignored by clustering and paths. Greedy
+communities and modularity read the weights. Every statistic here has a
+matching brute-force oracle in the test suite.
 
 Every family returns report fields: a dict keyed by the MeasureReport
 field names (MEASURE_FIELDS) it fills, one per network for degrees and
@@ -11,15 +12,15 @@ clustering. measure_all merges them with deformation_R into the report.
 
 measure_many measures networks of one bin count in stacks of as many as
 keep each stacked (R, B, B) array within 512 KB (series.stack_size; 26 at
-B = 50); it alone cuts the stream into stacks (_stacks). Degrees,
-clustering, paths and greedy community detection run once per stack
-(degree_stats, clustering_stats, path_stats and detect_communities take
-one stack and return one result per network). Assortativity, deformation
-and modularity run per network: stacked, assortativity ran slower, and
-deformation's float64 stacks raised peak memory by 1.5 MB on the B = 50
-battery to save 1% of its time (modularity would need float64 stacks
-too). Each report equals measure_all's for that network alone, bit for
-bit.
+B = 50); it alone cuts the stream into stacks (_stacks) and binarizes
+each stack, once (_adjacency). degree_stats, clustering_stats and
+path_stats read that (R, B, B) bool stack and assortativity_stats one
+network's slice of it; detect_communities takes the stack's networks.
+Assortativity, deformation and modularity run per network: stacked,
+assortativity ran slower, and deformation's float64 stacks raised peak
+memory by 1.5 MB on the B = 50 battery to save 1% of its time (modularity
+would need float64 stacks too). Each report equals measure_all's for that
+network alone, bit for bit.
 
 Clustering and paths are integer counts on the loop-free graph, taken
 with popcounts of adjacency rows packed into 64-bit words (_packed), over
@@ -30,7 +31,8 @@ A network measured alone (a stack of fewer than _STACK_MIN, so every
 network above B = 104) has its communities detected by _communities_one:
 it merges occupied bins only, stops at the last positive-gain merge and
 drops merged-away rows once half are dead, with the labels of the full
-greedy run.
+greedy run. Both community kernels take their start (_community_state),
+every merge gain (_gain) and the final labels (_roots) from one place.
 """
 
 from __future__ import annotations
@@ -89,14 +91,6 @@ def _adjacency(nets) -> np.ndarray:
     return a
 
 
-def _loop_free(nets) -> np.ndarray:
-    """_adjacency with the self-loops removed."""
-    a = _adjacency(nets)
-    n = a.shape[1]
-    a[:, np.arange(n), np.arange(n)] = False
-    return a
-
-
 def _packed(rows: np.ndarray) -> np.ndarray:
     """(m, B) bool rows as (m, ceil(B / 64)) uint64 words, zero-padded.
 
@@ -152,15 +146,13 @@ def _pair_counts(rows_a: np.ndarray, rows_b: np.ndarray, i, j) -> np.ndarray:
     return counts
 
 
-def degree_stats(stack) -> list:
+def degree_stats(a: np.ndarray) -> list:
     """Unweighted neighbor counts over all B nodes, isolated ones included.
 
-    One dict of report fields per network of one stack, a list of networks
-    sharing one bin count (measure_many keeps it within stack_size(B**2)).
-    A self-loop counts once in the out-degree and once in the in-degree of
+    One dict of report fields per network of an (R, B, B) bool stack. A
+    self-loop counts once in the out-degree and once in the in-degree of
     its node.
     """
-    a = _adjacency(stack)
     k_out = a.sum(axis=2)
     k_in = a.sum(axis=1)
     k_tot = k_out + k_in
@@ -187,15 +179,15 @@ def degree_stats(stack) -> list:
     ]
 
 
-def clustering_stats(stack) -> list:
+def clustering_stats(a: np.ndarray) -> list:
     """Triangle-density measures on the loop-free binarized graph.
 
-    One dict of report fields per network of one stack, a list of networks
-    sharing one bin count (measure_many keeps it within stack_size(B**2)).
-    cl_global is the transitivity of the undirected projection; local
-    values are averaged over all B nodes with degree-<2 nodes contributing
-    0, and cl_global_std is the undirected ones' standard deviation. The
-    directed local coefficient counts all triangle orientations:
+    One dict of report fields per network of an (R, B, B) bool stack, its
+    diagonal ignored. cl_global is the transitivity of the undirected
+    projection; local values are averaged over all B nodes with degree-<2
+    nodes contributing 0, and cl_global_std is the undirected ones'
+    standard deviation. The directed local coefficient counts all triangle
+    orientations:
     C_i = [S^3]_ii / (2 [d_i (d_i - 1) - 2 d_bi,i]) with S = A + A^T and
     d_bi,i = (A^2)_ii the number of reciprocal neighbors.
 
@@ -208,11 +200,11 @@ def clustering_stats(stack) -> list:
     Each edge {i, j} adds its term to both ends. Ratios and means are taken
     in float64 from these integers.
     """
-    r, n = len(stack), stack[0].bin_count
-    a = _loop_free(stack)
+    r, n = a.shape[:2]
     u = a | a.transpose(0, 2, 1)
     rc = a & a.transpose(0, 2, 1)
-    del a
+    diagonal = np.arange(n)
+    u[:, diagonal, diagonal] = rc[:, diagonal, diagonal] = False
     # each undirected edge {i, j} once, with i < j
     cells, i, j = _edges(u & (np.arange(n)[:, None] < np.arange(n)))
     reciprocal = np.take(rc, cells)
@@ -260,15 +252,14 @@ def clustering_stats(stack) -> list:
     ]
 
 
-def path_stats(stack) -> list:
+def path_stats(a: np.ndarray) -> list:
     """Mean unweighted shortest-path lengths, self-loops ignored.
 
-    One dict of report fields, or None, per network of one stack, a list
-    of networks sharing one bin count (measure_many keeps it within
-    stack_size(B**2)). Directed means run over all ordered reachable pairs,
-    undirected over connected unordered pairs of the symmetrized graph;
-    unreachable pairs are excluded rather than imputed. None when no edge
-    leaves the diagonal, where both means are undefined.
+    One dict of report fields, or None, per network of an (R, B, B) bool
+    stack, its diagonal ignored. Directed means run over all ordered
+    reachable pairs, undirected over connected unordered pairs of the
+    symmetrized graph; unreachable pairs are excluded rather than imputed.
+    None when no edge leaves the diagonal, where both means are undefined.
 
     One breadth-first search runs from every source of the stack's 2R
     graphs at once (R directed, then R symmetrized), on packed bit rows
@@ -278,13 +269,12 @@ def path_stats(stack) -> list:
     of its in-neighbors' rows, less the sources that have reached l before.
     Distance sums and pair counts are integers, divided once at the end.
     """
-    r, n = len(stack), stack[0].bin_count
-    a = _loop_free(stack)
-    # row (g, l) of ins holds l's in-neighbors in graph g
+    r, n = a.shape[:2]
+    # row (g, l) of ins holds l's in-neighbors in graph g, loops dropped
     ins = np.empty((2 * r, n, n), dtype=bool)
     ins[:r] = a.transpose(0, 2, 1)
     np.logical_or(a, ins[:r], out=ins[r:])
-    del a
+    ins[:, np.arange(n), np.arange(n)] = False
     _, _, source = _edges(ins)
     if not len(source):
         return [None] * r
@@ -351,8 +341,9 @@ def _pearson_int(m: int, sxy: int, sp2: int, sq2: int) -> tuple[int, int]:
     return 4 * m * sxy - sp2 * sp2, 2 * m * sq2 - sp2 * sp2
 
 
-def assortativity_stats(net: CouplingNetwork) -> dict | None:
-    """Degree-mixing coefficients over the binarized edge list.
+def assortativity_stats(a: np.ndarray) -> dict | None:
+    """Degree-mixing coefficients over the edge list of one (B, B) bool
+    adjacency, self-loops included.
 
     scalar_assort_coef correlates total degrees across edge endpoints with
     both orientations pooled (each edge contributes (x, y) and (y, x)), the
@@ -363,7 +354,6 @@ def assortativity_stats(net: CouplingNetwork) -> dict | None:
     None when all endpoint degrees are identical (fewer than 2 edges
     included), where both coefficients are undefined.
     """
-    a = net.weights > 0
     k_out = a.sum(axis=1)
     k_in = a.sum(axis=0)
     k_tot = (k_out + k_in).astype(np.int64)
@@ -390,8 +380,8 @@ def assortativity_stats(net: CouplingNetwork) -> dict | None:
 
     # edge counts by source and by target degree value; a degree value
     # that no endpoint has counts 0, so these are the category sums
-    row = np.bincount(x, minlength=2 * net.bin_count + 1)
-    col = np.bincount(y, minlength=2 * net.bin_count + 1)
+    row = np.bincount(x, minlength=2 * len(a) + 1)
+    col = np.bincount(y, minlength=2 * len(a) + 1)
     same = x == y
     se = int(same.sum())
     sab = int((row * col).sum())
@@ -453,6 +443,39 @@ def _stacks(nets):
         yield stack
 
 
+def _community_state(nets):
+    """The greedy start of R networks of B bins: e = W + W^T as an (R, B, B)
+    float64 stack, 2m, (2m)**2 and the strengths tot, one per network, and
+    the modularity q of the singletons."""
+    r, n = len(nets), nets[0].bin_count
+    e = np.empty((r, n, n))
+    for k, net in enumerate(nets):
+        np.add(net.weights, net.weights.T, out=e[k])
+    two_m = e.sum(axis=(1, 2))
+    tot = e.sum(axis=2)
+    q = np.trace(e, axis1=1, axis2=2) / two_m - ((tot / two_m[:, None]) ** 2).sum(axis=1)
+    return e, two_m, two_m * two_m, tot, q
+
+
+def _gain(e, two_m, tot_a, tot_b, tm2):
+    """Modularity gain of merging communities a and b, in the one order of
+    float operations both kernels keep: 2 (e / 2m - tot_a tot_b / (2m)**2)."""
+    gain = e / two_m
+    gain -= tot_a * tot_b / tm2
+    gain *= 2.0
+    return gain
+
+
+def _roots(labels: np.ndarray) -> np.ndarray:
+    """Each id's final label, from labels pointing every merged-away id at
+    the id it merged into (along the last axis): jump to the roots."""
+    while True:
+        roots = np.take_along_axis(labels, labels, axis=-1)
+        if np.array_equal(roots, labels):
+            return labels
+        labels = roots
+
+
 def _communities_one(net: CouplingNetwork) -> np.ndarray:
     """detect_communities for one network.
 
@@ -473,12 +496,8 @@ def _communities_one(net: CouplingNetwork) -> np.ndarray:
     Where (2N)**2 >= 2**53 a computed gain may have the wrong sign, so
     every node is kept and all merges run, as the exhaustive greedy does.
     """
-    e = (net.weights + net.weights.T).astype(np.float64)
-    two_m = e.sum()
-    tm2 = two_m * two_m
-    tot = e.sum(axis=1)
-    q = float(np.trace(e) / two_m - ((tot / two_m) ** 2).sum())
-    best_q = q
+    e, two_m, tm2, tot, q = (x[0] for x in _community_state([net]))
+    q = best_q = float(q)
 
     exact = (2 * net.sample_count) ** 2 < 2**53
     ids = np.flatnonzero(tot > 0) if exact else np.arange(net.bin_count)
@@ -486,7 +505,7 @@ def _communities_one(net: CouplingNetwork) -> np.ndarray:
     tot = tot[ids]
     ids = ids.tolist()
     # symmetric gain with a -inf diagonal, as in _communities_stack
-    gain = 2.0 * (e / two_m - np.outer(tot, tot) / tm2)
+    gain = _gain(e, two_m, tot[:, None], tot, tm2)
     np.fill_diagonal(gain, -np.inf)
     live = np.ones(len(ids), dtype=bool)
     dead = 0
@@ -506,9 +525,7 @@ def _communities_one(net: CouplingNetwork) -> np.ndarray:
         e[:, a] = ea
         ta = tot[a] + tot[b]
         tot[a] = ta
-        row = ea / two_m
-        row -= ta * tot / tm2
-        row *= 2.0
+        row = _gain(ea, two_m, ta, tot, tm2)
         gain[a] = row
         gain[:, a] = row
         gain[a, a] = -np.inf
@@ -532,11 +549,10 @@ def _communities_one(net: CouplingNetwork) -> np.ndarray:
             live = live[keep]
             dead = 0
 
-    # walking back, each merged-away id takes its survivor's final label
-    labels = list(range(net.bin_count))
-    for a, b in reversed(history[:best_step]):
-        labels[b] = labels[a]
-    return np.array(labels, dtype=np.int64)
+    labels = np.arange(net.bin_count, dtype=np.int64)
+    for a, b in history[:best_step]:
+        labels[b] = a
+    return _roots(labels)
 
 
 def _communities_stack(nets) -> list:
@@ -565,20 +581,11 @@ def _communities_stack(nets) -> list:
     column a. Labels are replayed from the merge history at the end, up to
     each network's best step.
     """
+    e, two_m, tm2, tot, q = _community_state(nets)
     r, n = len(nets), nets[0].bin_count
-    e = np.empty((r, n, n))
-    for k, net in enumerate(nets):
-        np.add(net.weights, net.weights.T, out=e[k])
-    two_m = e.sum(axis=(1, 2))
-    tm2 = (two_m * two_m)[:, None]
-    tot = e.sum(axis=2)
-    q = np.trace(e, axis1=1, axis2=2) / two_m - ((tot / two_m[:, None]) ** 2).sum(axis=1)
-
-    gain = tot[:, :, None] * tot[:, None, :]
-    gain /= tm2[:, :, None]
+    gain = np.empty_like(e)
     for k in range(r):  # one network at a time, so no third stacked array
-        np.subtract(e[k] / two_m[k], gain[k], out=gain[k])
-    gain *= 2.0
+        gain[k] = _gain(e[k], two_m[k], tot[k, :, None], tot[k], tm2[k])
     flat = gain.reshape(r, n * n)
     flat[:, :: n + 1] = -np.inf
 
@@ -601,7 +608,7 @@ def _communities_stack(nets) -> list:
         ta = tot[k, a] + tot[k, b]
         tot[k, a] = ta
         tot[k, b] = np.inf
-        row = 2.0 * (ea / two_m[k, None] - ta[:, None] * tot[k] / tm2[k])
+        row = _gain(ea, two_m[k, None], ta[:, None], tot[k], tm2[k, None])
         gain[k, b] = -np.inf
         gain[k, :, b] = -np.inf
         gain[k, a] = row
@@ -620,25 +627,20 @@ def _communities_stack(nets) -> list:
     a, b = np.divmod(history[steps, nets_k], n)
     labels = np.tile(np.arange(n, dtype=np.int64), (r, 1))
     labels[nets_k, b] = a
-    # each merged-away id points at the id it merged into; jump to the roots
-    while True:
-        roots = np.take_along_axis(labels, labels, axis=1)
-        if np.array_equal(roots, labels):
-            return list(labels)
-        labels = roots
+    return list(_roots(labels))
 
 
 def detect_communities(stack) -> list:
-    """Greedy agglomerative modularity maximization, one label array per network.
+    """Greedy agglomerative modularity maximization, one label array per
+    network of a stack (see measure_many).
 
-    The caller passes one stack, a list of networks sharing one bin count
-    (measure_many keeps it within stack_size(B**2)). Each network works
-    on its weighted undirected projection W + W^T with self-loops kept as
-    node strength. Communities start as singletons and are merged pairwise
-    by best modularity gain, ties broken by the lexicographically smallest
-    pair of community ids (a community's id is its smallest member node).
-    Each network gets the labels of the highest-modularity partition it
-    encountered; the labels equal those of running each network alone.
+    Each network works on its weighted undirected projection W + W^T with
+    self-loops kept as node strength. Communities start as singletons and
+    are merged pairwise by best modularity gain, ties broken by the
+    lexicographically smallest pair of community ids (a community's id is
+    its smallest member node). Each network gets the labels of the
+    highest-modularity partition it encountered; the labels equal those of
+    running each network alone.
     """
     if len(stack) >= _STACK_MIN and all(
         (2 * net.sample_count) ** 2 < 2**53 for net in stack
@@ -661,22 +663,16 @@ def modularity_stats(net: CouplingNetwork, partition) -> dict:
     # them, so every sum below adds the same terms in the same order
     i, j = np.nonzero(labels[:, None] == labels[None, :])
 
-    s = (net.weights + net.weights.T).astype(np.float64)
-    two_m = s.sum()
-    strength = s.sum(axis=1)
-    null = strength[i] * strength[j]
-    null /= two_m
-    q_total = float((s[i, j].sum() - null.sum()) / two_m)
+    def score(w):
+        m = w.sum()
+        null = w.sum(axis=1)[i] * w.sum(axis=0)[j]
+        null /= m
+        return float((w[i, j].sum() - null.sum()) / m)
 
-    w = net.weights.astype(np.float64)
-    m = w.sum()
-    w_out = w.sum(axis=1)
-    w_in = w.sum(axis=0)
-    null = w_out[i] * w_in[j]
-    null /= m
-    q_out = float((w[i, j].sum() - null.sum()) / m)
-
-    return {"modularity_total_degree": q_total, "modularity_out_degree": q_out}
+    return {
+        "modularity_total_degree": score((net.weights + net.weights.T).astype(np.float64)),
+        "modularity_out_degree": score(net.weights.astype(np.float64)),
+    }
 
 
 @dataclass(frozen=True)
@@ -741,34 +737,32 @@ def measure_all(net: CouplingNetwork) -> MeasureReport:
 def measure_many(nets) -> list:
     """measure_all for each of an iterable of networks sharing one bin count.
 
-    Networks are taken from the iterable one stack at a time (see _stacks),
-    and each stack's degrees, clustering, paths and communities are
-    measured together; every report equals measure_all's for that network
-    alone.
+    Networks are taken from the iterable one stack at a time (see _stacks).
+    Each stack's communities are detected first, and then the stack is
+    binarized once: its degrees, clustering and paths are measured together
+    on that bool stack, and each network's assortativity on its slice.
+    Every report equals measure_all's for that network alone.
     """
     reports = []
     for stack in _stacks(nets):
         if stack[0].bin_count < 3:  # _stacks gives one bin count
             raise ValueError("measure battery needs at least 3 bins")
+        labels = detect_communities(stack)
+        a = _adjacency(stack)
         reports += map(
-            _report,
-            stack,
-            detect_communities(stack),
-            degree_stats(stack),
-            clustering_stats(stack),
-            path_stats(stack),
+            _report, stack, a, labels, degree_stats(a), clustering_stats(a), path_stats(a)
         )
     return reports
 
 
 def _report(
-    net: CouplingNetwork, labels: np.ndarray, deg: dict, clu: dict, paths: dict | None
+    net: CouplingNetwork, a: np.ndarray, labels: np.ndarray, deg: dict, clu: dict, paths
 ) -> MeasureReport:
     values = {**deg, **clu, "deformation_R": deformation_ratio(joint_probability(net))}
     flags: list[str] = []
     for names, family in (
         (_PATH_FIELDS, paths),
-        (_ASSORT_FIELDS, assortativity_stats(net)),
+        (_ASSORT_FIELDS, assortativity_stats(a)),
     ):
         if family is None:
             family = dict.fromkeys(names, 0.0)

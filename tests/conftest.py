@@ -19,6 +19,12 @@ def edges_net(bin_count: int, edges, weight: int = 1) -> CouplingNetwork:
     return net_from(w)
 
 
+def adjacency(*nets) -> np.ndarray:
+    """The (R, B, B) bool stack of the networks' binarized weights, as
+    measure_many gives it to the binarized measure families."""
+    return np.stack([net.weights > 0 for net in nets])
+
+
 def random_weights(rng: np.random.Generator) -> np.ndarray:
     """Random small graph: 3-6 nodes, weights 0-9, full density sweep."""
     b = int(rng.integers(3, 7))

@@ -487,6 +487,22 @@ class TestCompareRefusesNonFinite:
         assert not out.exists()
 
 
+    def test_span_past_float_range(self, inputs, tmp_path, capsys):
+        # a baseline mean of -1e308 and a report value of 1e308 are each
+        # finite, but their span is not, so deformation_R cannot be rescaled
+        summary, report = inputs
+        text = summary.read_text()
+        row = next(line for line in text.splitlines() if ",deformation_R," in line)
+        fields = row.split(",")
+        fields[2] = repr(-1e308)
+        summary.write_text(text.replace(row, ",".join(fields)))
+        report["deformation_R"] = 1e308
+        result, _, out = self.compare(capsys, tmp_path, summary, json.dumps(report))
+        detail = "ranges from -1e+308 to 1e+308, a span out of the float range"
+        assert result == (1, "", f"ValueError:deformation_R {detail}\n")
+        assert not out.exists()
+
+
 class TestCompareSummaryShape:
     """compare reads only the summaries baseline and surrogate write, where
     each system has one row for each of the 21 measures, and refuses a

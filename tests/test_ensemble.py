@@ -518,6 +518,27 @@ class TestRadarNormalize:
                 {UNCOUPLED_SYSTEM: self._vec(a=1.0), "other": self._vec(b=1.0)}
             )
 
+    def test_span_past_float_range_rejected(self):
+        # every value is finite, but 1e308 - (-1e308) overflows to inf, which
+        # would normalize x to NaN and y to 0.0 rather than 0.5
+        line = "^m ranges from -1e\\+308 to 1e\\+308, a span out of the float range$"
+        with pytest.raises(ValueError, match=line):
+            radar_normalize(
+                {
+                    UNCOUPLED_SYSTEM: self._vec(m=-1e308),
+                    "x": self._vec(m=1e308),
+                    "y": self._vec(m=0.0),
+                }
+            )
+        wide = radar_normalize(
+            {
+                UNCOUPLED_SYSTEM: self._vec(m=-1e307),
+                "x": self._vec(m=1e307),
+                "y": self._vec(m=0.0),
+            }
+        )
+        assert wide["normalized"]["y"]["m"] == 0.5
+
     def test_needs_two_systems_and_baseline(self):
         with pytest.raises(ValueError):
             radar_normalize({UNCOUPLED_SYSTEM: self._vec(a=1.0)})

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import edges_net, net_from, random_weights, special_weight_matrices
+from conftest import adjacency, edges_net, net_from, random_weights, special_weight_matrices
 from couplemap import joint_probability, measure_all
 from couplemap.ensemble import EnsembleConfig, derive_seed
 from couplemap.metrics import (
@@ -175,10 +175,10 @@ class TestSchema:
         # takes them unchanged, and with deformation_R they fill all of it
         net = net_from(special_weight_matrices()[3])  # no family degenerate
         families = {
-            "degree": degree_stats([net])[0],
-            "clustering": clustering_stats([net])[0],
-            "paths": path_stats([net])[0],
-            "assortativity": assortativity_stats(net),
+            "degree": degree_stats(adjacency(net))[0],
+            "clustering": clustering_stats(adjacency(net))[0],
+            "paths": path_stats(adjacency(net))[0],
+            "assortativity": assortativity_stats(adjacency(net)[0]),
             "modularity": modularity_stats(net, detect_communities([net])[0]),
         }
         assert {name: set(keys) for name, keys in families.items()} == {
@@ -258,7 +258,7 @@ class TestDeformationRatio:
 class TestDegreeStats:
     def test_hand_fixture(self):
         net = edges_net(3, [(0, 1), (1, 2), (2, 2)])
-        d = degree_stats([net])[0]
+        d = degree_stats(adjacency(net))[0]
         assert d["mean_k_total"] == 2.0
         assert_close(d["mean_sq_k_total"], 14.0 / 3.0, "mean_sq_k_total")
         assert_close(d["std_k_total"], math.sqrt(2.0 / 3.0), "std_k_total")
@@ -268,48 +268,48 @@ class TestDegreeStats:
     def test_complete_with_self_loops(self):
         b = 4
         net = net_from(np.ones((b, b), dtype=np.int64))
-        d = degree_stats([net])[0]
+        d = degree_stats(adjacency(net))[0]
         assert d["mean_k_out"] == d["mean_k_in"] == b
         assert d["std_k_total"] == 0.0
         assert d["degree_concentration"] == 1.0
 
     def test_self_loop_counts_once_per_direction(self):
         net = edges_net(3, [(1, 1)])
-        d = degree_stats([net])[0]
+        d = degree_stats(adjacency(net))[0]
         assert d["mean_k_out"] == d["mean_k_in"] == pytest.approx(1.0 / 3.0)
         assert d["mean_k_total"] == pytest.approx(2.0 / 3.0)
 
     def test_out_in_identity(self, rng):
         # every edge contributes one source and one target endpoint
         for _ in range(30):
-            d = degree_stats([net_from(random_weights(rng))])[0]
+            d = degree_stats(adjacency(net_from(random_weights(rng))))[0]
             assert d["mean_k_out"] == d["mean_k_in"]
             assert_close(d["mean_k_total"], d["mean_k_out"] + d["mean_k_in"], "mean_k_total")
 
     def test_concentration_bounds(self, rng):
         for _ in range(30):
-            d = degree_stats([net_from(random_weights(rng))])[0]
+            d = degree_stats(adjacency(net_from(random_weights(rng))))[0]
             assert 0.0 < d["degree_concentration"] <= 1.0
 
 
 class TestClusteringStats:
     def test_undirected_triangle(self):
         net = edges_net(3, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)])
-        c = clustering_stats([net])[0]
+        c = clustering_stats(adjacency(net))[0]
         assert c["cl_global"] == 1.0
         assert c["cl_local_undirected_mean"] == 1.0
         assert c["cl_global_std"] == 0.0
 
     def test_directed_three_cycle(self):
         net = edges_net(3, [(0, 1), (1, 2), (2, 0)])
-        c = clustering_stats([net])[0]
+        c = clustering_stats(adjacency(net))[0]
         # each node: numerator 2, denominator 2*(2*1 - 0) = 4
         assert c["cl_local_directed_mean"] == pytest.approx(0.5)
         assert c["cl_global"] == 1.0
 
     def test_path_graph_no_triangles(self):
         net = edges_net(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
-        c = clustering_stats([net])[0]
+        c = clustering_stats(adjacency(net))[0]
         assert c["cl_global"] == 0.0
         assert c["cl_local_undirected_mean"] == 0.0
         assert c["cl_local_directed_mean"] == 0.0
@@ -318,7 +318,7 @@ class TestClusteringStats:
     def test_self_loops_ignored(self):
         with_loops = edges_net(3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1)])
         without = edges_net(3, [(0, 1), (1, 2), (2, 0)])
-        assert clustering_stats([with_loops])[0] == clustering_stats([without])[0]
+        assert clustering_stats(adjacency(with_loops))[0] == clustering_stats(adjacency(without))[0]
 
     def test_counts_exact_past_float32(self):
         # at B = 1600 this graph's [(A + A^T)^3]_ii exceed 2**24, past which
@@ -346,7 +346,7 @@ class TestClusteringStats:
             "cl_local_undirected_mean": local_u.mean(),
             "cl_local_directed_mean": local_d.mean(),
         }
-        assert clustering_stats([net_from(w)])[0] == expected
+        assert clustering_stats(adjacency(net_from(w)))[0] == expected
 
     def test_requires_three_bins(self):
         # A triangle needs three nodes. measure_many, the one caller that
@@ -357,7 +357,7 @@ class TestClusteringStats:
 
     def test_bounds(self, rng):
         for _ in range(30):
-            c = clustering_stats([net_from(random_weights(rng))])[0]
+            c = clustering_stats(adjacency(net_from(random_weights(rng))))[0]
             assert 0.0 <= c["cl_global"] <= 1.0
             assert 0.0 <= c["cl_local_undirected_mean"] <= 1.0
             assert 0.0 <= c["cl_local_directed_mean"] <= 1.0
@@ -366,35 +366,35 @@ class TestClusteringStats:
 
 class TestPathStats:
     def test_directed_three_cycle(self):
-        p = path_stats([edges_net(3, [(0, 1), (1, 2), (2, 0)])])[0]
+        p = path_stats(adjacency(edges_net(3, [(0, 1), (1, 2), (2, 0)])))[0]
         assert p["mean_len_directed"] == pytest.approx(1.5)
         assert p["mean_len_undirected"] == pytest.approx(1.0)
 
     def test_complete_graph(self):
         b = 4
-        p = path_stats([net_from(np.ones((b, b), dtype=np.int64))])[0]
+        p = path_stats(adjacency(net_from(np.ones((b, b), dtype=np.int64))))[0]
         assert p["mean_len_directed"] == 1.0
         assert p["mean_len_undirected"] == 1.0
 
     def test_two_disconnected_dyads(self):
-        p = path_stats([edges_net(4, [(0, 1), (1, 0), (2, 3), (3, 2)])])[0]
+        p = path_stats(adjacency(edges_net(4, [(0, 1), (1, 0), (2, 3), (3, 2)])))[0]
         assert p["mean_len_directed"] == 1.0
         assert p["mean_len_undirected"] == 1.0
 
     def test_only_self_loops_is_edgeless(self):
-        assert path_stats([edges_net(3, [(0, 0), (1, 1)])])[0] is None
+        assert path_stats(adjacency(edges_net(3, [(0, 0), (1, 1)])))[0] is None
 
     def test_none_exactly_where_oracle_is_none(self, rng):
         undefined = 0
         for w in special_weight_matrices() + [random_weights(rng) for _ in range(60)]:
             expected = oracles.oracle_path_stats(w.tolist())
-            assert (path_stats([net_from(w)])[0] is None) == (expected is None)
+            assert (path_stats(adjacency(net_from(w)))[0] is None) == (expected is None)
             undefined += expected is None
         assert undefined > 0
 
     def test_unreachable_pairs_excluded(self):
         # 0 -> 1 -> 2: five reachable ordered pairs would be wrong, three right
-        p = path_stats([edges_net(3, [(0, 1), (1, 2)])])[0]
+        p = path_stats(adjacency(edges_net(3, [(0, 1), (1, 2)])))[0]
         assert p["mean_len_directed"] == pytest.approx((1 + 1 + 2) / 3)
         assert p["mean_len_undirected"] == pytest.approx((1 + 1 + 2) / 3)
 
@@ -406,7 +406,7 @@ class TestPathStats:
         # heavy tails leave about half of the 200 bins without an edge
         assert (a.any(axis=0) | a.any(axis=1)).sum() < 120
         # both sides divide the same two integer sums
-        assert path_stats([net_from(w)])[0] == networkx_path_means(w)
+        assert path_stats(adjacency(net_from(w)))[0] == networkx_path_means(w)
 
     def test_networkx_with_edgeless_nodes(self, rng):
         # out-only 0, in-only 2 and 5, a node with only a self-loop (3)
@@ -433,7 +433,7 @@ class TestPathStats:
             np.fill_diagonal(a, False)
             if not a.any():
                 continue
-            assert path_stats([net_from(w)])[0] == networkx_path_means(w)
+            assert path_stats(adjacency(net_from(w)))[0] == networkx_path_means(w)
             checked += 1
         assert checked > 30
 
@@ -444,7 +444,7 @@ class TestPathStats:
             if oracles.oracle_path_stats(w.tolist()) is None:
                 continue
             net = net_from(w)
-            p = path_stats([net])[0]
+            p = path_stats(adjacency(net))[0]
             # symmetrizing can only shorten paths on mutually reachable pairs
             a = (net.weights > 0).copy()
             np.fill_diagonal(a, False)
@@ -473,7 +473,7 @@ class TestPathStats:
         w = (rng.random((bins, bins)) < mean_degree / bins).astype(np.int64)
         w[0, 0] += 1  # never empty
         expected = oracles.oracle_path_stats(w.tolist())
-        got = path_stats([net_from(w)])[0]
+        got = path_stats(adjacency(net_from(w)))[0]
         if expected is None:
             assert got is None
         else:
@@ -487,8 +487,8 @@ class TestWordBoundaries:
     @pytest.mark.parametrize("bins", [3, 8, 63, 64, 65, 128, 129, 200])
     def test_equal_dense_products(self, bins):
         stack = word_boundary_stack(bins)
-        paths = path_stats(stack)
-        clustering = clustering_stats(stack)
+        paths = path_stats(adjacency(*stack))
+        clustering = clustering_stats(adjacency(*stack))
         assert [repr(p) for p in paths] == [repr(dense_path_stats(net)) for net in stack]
         assert [repr(c) for c in clustering] == [
             repr(c) for c in oracles.oracle_dense_clustering(stack)
@@ -499,27 +499,73 @@ class TestWordBoundaries:
         chain = sum(d * (bins - d) for d in range(1, bins))
         assert paths[2]["mean_len_directed"] == chain / pairs
         # each network measured alone gives the same
-        assert [path_stats([net])[0] for net in stack] == paths
-        assert [clustering_stats([net])[0] for net in stack] == clustering
+        assert [path_stats(adjacency(net))[0] for net in stack] == paths
+        assert [clustering_stats(adjacency(net))[0] for net in stack] == clustering
+
+
+class TestBoolStack:
+    """The binarized families read the (R, B, B) bool stack that
+    measure_many builds once per stack: clustering and paths ignore its
+    diagonal, and assortativity reads one network's slice of it, self-loops
+    included."""
+
+    @pytest.mark.parametrize("bins", [3, 8, 63, 64, 65, 128, 129, 200])
+    def test_clustering_and_paths_ignore_the_diagonal(self, bins):
+        a = adjacency(*word_boundary_stack(bins))
+        diagonal = np.arange(bins)
+        looped, loop_free = a.copy(), a.copy()
+        looped[:, diagonal, diagonal] = True
+        loop_free[:, diagonal, diagonal] = False
+        for family in (clustering_stats, path_stats):
+            assert family(looped) == family(loop_free) == family(a), family.__name__
+        # neither family writes into the stack it reads
+        assert looped[:, diagonal, diagonal].all()
+        assert np.array_equal(a, adjacency(*word_boundary_stack(bins)))
+
+    @pytest.mark.parametrize("bins", [3, 8, 63, 64, 65, 128, 129, 200])
+    def test_assortativity_of_a_slice_equals_oracle(self, bins):
+        stack = word_boundary_stack(bins)
+        for net, bools in zip(stack, adjacency(*stack), strict=True):
+            got = assortativity_stats(bools)
+            w = net.weights.tolist()
+            edges = oracles._edge_list(w)
+            if len(edges) <= 300:
+                expected = oracles.oracle_assortativity_stats(w)
+            elif oracles._pooled_pearson(edges) is None:
+                expected = None
+            else:
+                # the jackknife variances' oracle is quadratic in the edges,
+                # so on the larger graphs only the coefficients are checked
+                expected = {
+                    "scalar_assort_coef": oracles._pooled_pearson(edges),
+                    "assort_coef": float(oracles._categorical_coef(edges)),
+                }
+                got = {name: got[name] for name in expected}
+            if expected is None:
+                assert got is None
+                continue
+            assert got.keys() == expected.keys()
+            for name in expected:
+                assert_close(got[name], expected[name], name)
 
 
 class TestAssortativity:
     def test_star_is_perfectly_disassortative(self):
-        a = assortativity_stats(edges_net(4, [(0, 1), (0, 2), (0, 3)]))
+        a = assortativity_stats(adjacency(edges_net(4, [(0, 1), (0, 2), (0, 3)]))[0])
         assert a["scalar_assort_coef"] == pytest.approx(-1.0)
 
     def test_ring_degenerate(self):
         ring = edges_net(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert assortativity_stats(ring) is None
+        assert assortativity_stats(adjacency(ring)[0]) is None
 
     def test_single_edge_degenerate(self):
-        assert assortativity_stats(edges_net(3, [(0, 1)])) is None
+        assert assortativity_stats(adjacency(edges_net(3, [(0, 1)]))[0]) is None
 
     def test_dyads_plus_triangle_sign_matches_oracle(self):
         net = edges_net(
             7, [(0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 6), (6, 4), (4, 6)]
         )
-        a = assortativity_stats(net)
+        a = assortativity_stats(adjacency(net)[0])
         expected = oracles.oracle_assortativity_stats(net.weights.tolist())
         assert math.copysign(1, a["assort_coef"]) == math.copysign(1, expected["assort_coef"])
         assert_close(a["assort_coef"], expected["assort_coef"], "assort_coef")
@@ -530,7 +576,7 @@ class TestAssortativity:
         checked = 0
         for w in [random_weights(rng) for _ in range(60)] + special_weight_matrices():
             expected = oracles.oracle_assortativity_stats(w.tolist())
-            got = assortativity_stats(net_from(w))
+            got = assortativity_stats(adjacency(net_from(w))[0])
             if expected is None:
                 assert got is None
                 continue
@@ -544,7 +590,7 @@ class TestAssortativity:
         checked = 0
         while checked < 40:
             w = random_weights(rng)
-            a = assortativity_stats(net_from(w))
+            a = assortativity_stats(adjacency(net_from(w))[0])
             if a is None:
                 continue
             assert -1.0 - 1e-12 <= a["assort_coef"] <= 1.0 + 1e-12
@@ -859,7 +905,7 @@ class TestOracleEquivalence:
         graphs = [random_weights(rng) for _ in range(30)] + special_weight_matrices()
         graphs.append(measured_weights("fgn-lag", 50))
         for w in graphs:
-            got = family([net_from(w)])[0]
+            got = family(adjacency(net_from(w)))[0]
             expected = oracle(w.tolist())
             assert got.keys() == expected.keys()
             for name in expected:

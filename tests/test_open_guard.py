@@ -5,7 +5,8 @@ is one a command prints rather than a signal for other modules to handle;
 only cli._write creates a directory, the commands handing it their
 writers rather than calling one; only metrics.measure_many cuts a
 stream of networks into stacks, the stacked families measuring the one
-stack they are given; and no module multiplies matrices."""
+stack they are given, and only it binarizes a stack; and no module
+multiplies matrices."""
 
 import ast
 from pathlib import Path
@@ -146,6 +147,19 @@ def test_networks_stacked_only_in_measure_many():
         if name == "_stacks"
     ]
     assert stackers == [("metrics.py", "measure_many")]
+
+
+def test_stacks_binarized_only_in_measure_many():
+    """Every call to metrics._adjacency sits inside metrics.measure_many, so
+    each stack is binarized once, and degree_stats, clustering_stats,
+    path_stats and assortativity_stats read that one bool stack."""
+    binarizers = [
+        (path.name, function)
+        for path in MODULES
+        for function, name in _calls(path)
+        if name == "_adjacency"
+    ]
+    assert binarizers == [("metrics.py", "measure_many")]
 
 
 # NumPy functions that hand a product to BLAS
